@@ -14,7 +14,6 @@ from .core import (
     EntryOutOfRange,
     InputError,
     MixedStrategy,
-    PairOrdering,
     RationalParseError,
     ShapeMismatch,
     Transcript,
@@ -22,6 +21,7 @@ from .core import (
     format_rational,
     game_from_json,
     game_to_json,
+    pair_order_key,
     pair_ordering,
     parse_rational,
     transcript_from_json,

@@ -17,13 +17,10 @@ _SCALE = 1 << 64
 
 @dataclass(frozen=True)
 class CounterRng:
-    """A splittable source of 64-bit draws keyed by (seed, stream, counter)."""
+    """A source of 64-bit draws keyed by (seed, stream, counter)."""
 
     seed: int
     stream: int = 0
-
-    def split(self, stream: int) -> CounterRng:
-        return CounterRng(self.seed, stream)
 
     def u64(self, counter: int) -> int:
         payload = f"{self.seed}:{self.stream}:{counter}".encode()

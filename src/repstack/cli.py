@@ -110,7 +110,6 @@ def cmd_build(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "swaps": construction.swaps,
             "bound": _sampled_bound_text(game.granularity, horizon),
-            "gpa": json.loads(gpa.gpa_to_json(built)),
         }
         lines = [
             f"variant = sampled, T = {horizon}, seed = {args.seed}",
@@ -129,7 +128,6 @@ def cmd_build(args: argparse.Namespace) -> int:
             "r": params.reward_rounds,
             "bound": format_rational(bound),
             "bound_refined": format_rational(refined),
-            "gpa": json.loads(gpa.gpa_to_json(built)),
         }
         lines = [
             f"variant = deterministic, T = {horizon}",
@@ -137,11 +135,13 @@ def cmd_build(args: argparse.Namespace) -> int:
             f"guaranteed bound 2N/T = {format_rational(bound)}"
             f" (refined 2r/T = {format_rational(refined)})",
         ]
+    text = gpa.gpa_to_json(built)
+    payload["gpa"] = json.loads(text)
     if args.output:
-        Path(args.output).write_text(gpa.gpa_to_json(built) + "\n", encoding="utf-8")
+        Path(args.output).write_text(text + "\n", encoding="utf-8")
         lines.append(f"wrote strategy to {args.output}")
     else:
-        lines.append(gpa.gpa_to_json(built))
+        lines.append(text)
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -276,7 +276,7 @@ def cmd_audit_vc(args: argparse.Namespace) -> int:
         if value != 1 or action != 0:
             return EXIT_VERIFICATION
         return EXIT_OK
-    threshold = 1 + Fraction(1, (graph.n - 2) * graph.n ** (args.c_exponent - 1))
+    threshold = 1 + 1 / (Fraction(graph.n - 2) * Fraction(graph.n) ** (args.c_exponent - 1))
     worst = hardness.grid_audit_player3(game3, args.resolution)
     certified = worst > threshold
     payload = {

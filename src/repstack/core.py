@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 
 class InputError(ValueError):
@@ -173,16 +173,12 @@ class BimatrixGame:
     def contains(self, pair: ActionPair) -> bool:
         return 1 <= pair.row <= self.rows and 1 <= pair.col <= self.cols
 
-    def is_zero_sum(self) -> bool:
-        return all(
-            self.m1[r][c] + self.m2[r][c] == 0
-            for r in range(self.rows)
-            for c in range(self.cols)
-        )
-
 
 def _parse_matrix(raw: Sequence[Sequence[object]], name: str) -> list[list[Fraction]]:
-    if not raw or any(not row for row in raw):
+    matrix = (list, tuple)
+    if not isinstance(raw, matrix) or not raw or any(
+        not isinstance(row, matrix) or not row for row in raw
+    ):
         raise ShapeMismatch(f"{name} must be a nonempty rectangular matrix")
     width = len(raw[0])
     parsed: list[list[Fraction]] = []
@@ -229,28 +225,19 @@ def validate_game(
     )
 
 
-@dataclass(frozen=True)
-class PairOrdering:
-    """All action pairs of a game sorted by nondecreasing follower payoff.
+def pair_order_key(game: BimatrixGame) -> Callable[[ActionPair], tuple]:
+    """Sort key for pairs: nondecreasing follower payoff.
 
     Ties are broken by nonincreasing leader payoff (the leader-favorable
     choice), then lexicographically by (row, col), which makes the ordering
     deterministic for a fixed game.
     """
-
-    sequence: tuple[ActionPair, ...]
-
-    def __iter__(self) -> Iterator[ActionPair]:
-        return iter(self.sequence)
-
-    def __len__(self) -> int:
-        return len(self.sequence)
+    return lambda p: (game.follower_payoff(p), -game.leader_payoff(p), p.row, p.col)
 
 
-def pair_ordering(game: BimatrixGame) -> PairOrdering:
-    """Order all pairs by ascending follower payoff (see `PairOrdering`)."""
-    key = lambda p: (game.follower_payoff(p), -game.leader_payoff(p), p.row, p.col)
-    return PairOrdering(tuple(sorted(game.pairs(), key=key)))
+def pair_ordering(game: BimatrixGame) -> tuple[ActionPair, ...]:
+    """All action pairs of the game sorted by `pair_order_key`."""
+    return tuple(sorted(game.pairs(), key=pair_order_key(game)))
 
 
 @dataclass(frozen=True)

@@ -33,11 +33,13 @@ from .core import (
     MixedStrategy,
     Transcript,
     format_rational,
+    pair_order_key,
     pair_ordering,
     parse_rational,
     stable_json,
 )
-from .lp import StackelbergSolution, max_follower_pair, stackelberg_lp, threat
+from .lp import StackelbergSolution, max_follower_pair, stackelberg_lp
+from .lp import threat  # noqa: F401 -- kept bound: perfbench/tracer.py wraps gpa.threat
 
 _STREAM_SAMPLES = 3
 
@@ -94,14 +96,6 @@ class GamePlayingAlgorithm:
         if n_actions < 1:
             raise InputError("a player needs at least one action")
         self.n_actions = n_actions
-
-    @property
-    def descriptor(self) -> str:
-        return (
-            "deterministic-given-history"
-            if self.randomness == "none"
-            else "per-round-randomized"
-        )
 
     def round_strategy(self, history: History) -> MixedStrategy:
         raise NotImplementedError
@@ -186,7 +180,6 @@ def build_deterministic_gpa(
     follower payoff; the final r rounds prescribe the follower's best pair so
     no late deviation is ever profitable.  Requires T >= N + 1.
     """
-    threat_result = threat(game)
     if solution is None:
         solution = stackelberg_lp(game)
     cycle_length = math.lcm(*(w.denominator for w in solution.alpha.values()))
@@ -204,7 +197,7 @@ def build_deterministic_gpa(
         prescription.extend([pair] * int(weight))
     reward_pair, _ = max_follower_pair(game)
     prescription.extend([reward_pair] * reward_rounds)
-    gpa = PrescribedSequenceGPA(game, prescription, threat_result.strategy)
+    gpa = PrescribedSequenceGPA(game, prescription, solution.threat.strategy)
     params = CycleParameters(cycle_length, cycles, reward_rounds, counts)
     return gpa, params
 
@@ -232,8 +225,8 @@ def sample_prescription(
     """
     if horizon < 2:
         raise HorizonTooShort(horizon, 2)
-    threat_result = threat(game)
     solution = stackelberg_lp(game)
+    threat_result = solution.threat
     reward_pair, follower_max = max_follower_pair(game)
 
     if follower_max == threat_result.value:
@@ -253,7 +246,7 @@ def sample_prescription(
     ]
 
     ascending = lambda p: (game.follower_payoff(p), game.leader_payoff(p), p.row, p.col)
-    canonical = lambda p: (game.follower_payoff(p), -game.leader_payoff(p), p.row, p.col)
+    canonical = pair_order_key(game)
     pre_swap = tuple(sorted(draws, key=canonical))
 
     block_len = horizon - 1
@@ -499,7 +492,7 @@ def myopic_best_responder(
 # Serialization.  Strategies round-trip exactly through JSON.
 
 
-def _history_key(history: History) -> str:
+def history_key(history: History) -> str:
     return ";".join(f"{p.row},{p.col}" for p in history)
 
 
@@ -545,7 +538,7 @@ def gpa_to_json(gpa: GamePlayingAlgorithm) -> str:
             {
                 "kind": "lookup",
                 "n_actions": gpa.n_actions,
-                "table": {_history_key(h): a for h, a in gpa.table.items()},
+                "table": {history_key(h): a for h, a in gpa.table.items()},
             }
         )
     raise InputError(f"cannot serialize strategy of kind {gpa.kind!r}")
@@ -559,20 +552,42 @@ def gpa_from_json(text: str, game: BimatrixGame) -> GamePlayingAlgorithm:
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError('strategy file must be an object with a "kind" key')
     kind = data["kind"]
+    try:
+        return _gpa_from_data(kind, data, game)
+    except KeyError as exc:
+        raise InputError(f"{kind!r} strategy file lacks key {exc}") from exc
+    except InputError:
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed {kind!r} strategy file: {exc}") from exc
+
+
+def _integer(value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _pair(entry: object) -> ActionPair:
+    if not (isinstance(entry, list) and len(entry) == 2):
+        raise InputError(f"expected a [row, col] pair, got {entry!r}")
+    return ActionPair(_integer(entry[0]), _integer(entry[1]))
+
+
+def _gpa_from_data(kind: object, data: dict, game: BimatrixGame) -> GamePlayingAlgorithm:
     if kind == "prescribed":
-        prescription = [ActionPair(int(r), int(c)) for r, c in data["prescription"]]
+        prescription = [_pair(entry) for entry in data["prescription"]]
         weights = tuple(parse_rational(w) for w in data["threat"])
         return PrescribedSequenceGPA(game, prescription, MixedStrategy(weights))
     if kind == "grim_trigger":
-        row, col = data["cooperate"]
-        return GrimTriggerGPA(game, ActionPair(int(row), int(col)), int(data["punish_row"]))
+        return GrimTriggerGPA(game, _pair(data["cooperate"]), _integer(data["punish_row"]))
     if kind == "two_phase":
-        return TwoPhaseDefectGPA(game, int(data["phase1_len"]))
+        return TwoPhaseDefectGPA(game, _integer(data["phase1_len"]))
     if kind == "mw":
         return MultiplicativeWeightsGPA(
             game, data["side"], parse_rational(data["learning_rate"])
         )
     if kind == "lookup":
-        table = {_history_from_key(k): int(a) for k, a in data["table"].items()}
-        return LookupTableGPA(table, int(data["n_actions"]))
+        table = {_history_from_key(k): _integer(a) for k, a in data["table"].items()}
+        return LookupTableGPA(table, _integer(data["n_actions"]))
     raise InputError(f"unknown strategy kind {kind!r}")

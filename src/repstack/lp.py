@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import ActionPair, BimatrixGame, InputError, MixedStrategy
+from .core import ActionPair, BimatrixGame, InputError, MixedStrategy, validate_game
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -314,21 +314,8 @@ def game_value(game: BimatrixGame) -> Fraction:
     For a zero-sum game this is the game value; it always equals the negated
     threat value of the game whose follower matrix is -M1.
     """
-    rows, cols = game.rows, game.cols
-    # Variables: x_1..x_rows, u.  Maximize u subject to
-    # sum_i x_i M1[i][j] - u >= 0 for every column j, sum_i x_i = 1.
-    objective = tuple([ZERO] * rows + [ONE])
-    a_ge = tuple(
-        tuple([game.m1[i][j] for i in range(rows)] + [Fraction(-1)])
-        for j in range(cols)
-    )
-    b_ge = tuple(ZERO for _ in range(cols))
-    a_eq = (tuple([ONE] * rows + [ZERO]),)
-    b_eq = (ONE,)
-    lower = tuple([ZERO] * rows + [None])
-    solution = simplex_solve(LinearProgram(objective, a_eq, b_eq, a_ge, b_ge, lower))
-    assert solution.status is LPStatus.OPTIMAL and solution.objective_value is not None
-    return solution.objective_value
+    negated = validate_game(game.m1, [[-v for v in row] for row in game.m1])
+    return -threat(negated).value
 
 
 @dataclass(frozen=True)
@@ -338,14 +325,16 @@ class StackelbergSolution:
     `alpha` maps every action pair of the game to its weight (possibly zero);
     `value` is the associated leader payoff, an exact upper bound on the
     per-round value of any leader commitment against a rational follower.
+    `threat` is the threat solution whose value the follower is guaranteed.
     """
 
     alpha: dict[ActionPair, Fraction]
     value: Fraction
-    threat_value: Fraction
+    threat: ThreatResult
 
-    def weight(self, pair: ActionPair) -> Fraction:
-        return self.alpha[pair]
+    @property
+    def threat_value(self) -> Fraction:
+        return self.threat.value
 
 
 def stackelberg_lp(game: BimatrixGame) -> StackelbergSolution:
@@ -356,11 +345,11 @@ def stackelberg_lp(game: BimatrixGame) -> StackelbergSolution:
     is always feasible, so the program is never infeasible; it is bounded by
     the maximum leader payoff.
     """
-    threat_value = threat(game).value
+    threat_result = threat(game)
     all_pairs = list(game.pairs())
     objective = tuple(game.leader_payoff(p) for p in all_pairs)
     a_ge = (tuple(game.follower_payoff(p) for p in all_pairs),)
-    b_ge = (threat_value,)
+    b_ge = (threat_result.value,)
     a_eq = (tuple(ONE for _ in all_pairs),)
     b_eq = (ONE,)
     solution = simplex_solve(LinearProgram(objective, a_eq, b_eq, a_ge, b_ge))
@@ -368,7 +357,7 @@ def stackelberg_lp(game: BimatrixGame) -> StackelbergSolution:
     alpha = dict(zip(all_pairs, solution.values))
     assert solution.objective_value is not None
     return StackelbergSolution(
-        alpha=alpha, value=solution.objective_value, threat_value=threat_value
+        alpha=alpha, value=solution.objective_value, threat=threat_result
     )
 
 

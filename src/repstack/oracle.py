@@ -29,7 +29,7 @@ from .core import (
     format_rational,
     stable_json,
 )
-from .gpa import GamePlayingAlgorithm, History, PrescribedSequenceGPA
+from .gpa import GamePlayingAlgorithm, History, PrescribedSequenceGPA, history_key
 from .lp import max_follower_pair, stackelberg_lp
 
 DEFAULT_STATE_BUDGET = 2_000_000
@@ -318,8 +318,7 @@ def best_response_to_json(
         if len(history) == horizon or history not in result.follower_policy:
             continue
         col = result.follower_policy[history]
-        key = ";".join(f"{p.row},{p.col}" for p in history)
-        on_path[key] = col
+        on_path[history_key(history)] = col
         strategy = leader.round_strategy(history)
         for row in strategy.support():
             frontier.append(history + (ActionPair(row, col),))

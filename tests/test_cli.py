@@ -189,6 +189,44 @@ def test_audit_vc_k4_grid(tmp_path, capsys) -> None:
     assert "holds at every grid point" in out
 
 
+def test_audit_vc_k4_exponent_zero_threshold(tmp_path, capsys) -> None:
+    graph_path = tmp_path / "k4.txt"
+    graph_path.write_text(K4)
+    code, out = run(capsys, "audit-vc", str(graph_path), "--resolution", "2", "--c-exponent", "0")
+    assert code == 4
+    assert "threshold 1 + 1/((n-2) n^(c-1)) = 3\n" in out
+    assert "grid certificate: FAILS" in out
+
+
+@pytest.mark.parametrize(
+    "command, strategy",
+    [
+        ("evaluate", '{"kind":"prescribed"}'),
+        ("evaluate", '{"kind":"prescribed","prescription":[[1]],"threat":["0","1"]}'),
+        ("evaluate", '{"kind":"prescribed","prescription":[[1,"a"]],"threat":["0","1"]}'),
+        ("evaluate", '{"kind":"prescribed","prescription":[[1,1.5]],"threat":["0","1"]}'),
+        ("evaluate", '{"kind":"prescribed","prescription":5,"threat":["0","1"]}'),
+        ("evaluate", '{"kind":"grim_trigger","cooperate":[1,1]}'),
+        ("simulate", '{"kind":"grim_trigger","cooperate":[1,1]}'),
+        ("simulate", '{"kind":"lookup","n_actions":2,"table":[]}'),
+    ],
+)
+def test_malformed_strategy_file_exits_2(pd_file, tmp_path, capsys, command, strategy) -> None:
+    gpa_path = tmp_path / "gpa.json"
+    gpa_path.write_text(strategy)
+    horizon = ["-T", "3"] if command == "simulate" else []
+    assert main([command, pd_file, str(gpa_path), *horizon]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("game", ['{"M1": 5, "M2": 5}', '{"M1": [5], "M2": [5]}'])
+def test_malformed_game_file_exits_2(tmp_path, capsys, game) -> None:
+    path = tmp_path / "game.json"
+    path.write_text(game)
+    assert main(["threat", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_json_outputs_are_byte_stable(pd_file, capsys) -> None:
     _, first = run(capsys, "solve", pd_file, "--json")
     _, second = run(capsys, "solve", pd_file, "--json")

@@ -105,8 +105,8 @@ def test_pair_ordering_tie_break_prefers_leader() -> None:
 
 def test_pair_ordering_is_permutation_and_idempotent(pd_game) -> None:
     ordering = pair_ordering(pd_game)
-    assert sorted(ordering.sequence) == sorted(pd_game.pairs())
-    assert pair_ordering(pd_game).sequence == ordering.sequence
+    assert sorted(ordering) == sorted(pd_game.pairs())
+    assert pair_ordering(pd_game) == ordering
 
 
 def test_average_payoffs_constant_sequence(pd_game) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from repstack import (
     two_phase_defect_gpa,
     validate_game,
 )
+from repstack import lp
 from repstack.gpa import ExactStrategyUnavailable
 from conftest import random_game
 
@@ -288,3 +290,37 @@ def test_gpa_serialization_round_trips(pd_game) -> None:
     loaded = gpa_from_json(gpa_to_json(built), pd_game)
     assert loaded.prescription == built.prescription
     assert loaded.threat_strategy == built.threat_strategy
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda game: build_deterministic_gpa(game, 11),
+        lambda game: sample_prescription(game, 11, 0),
+    ],
+    ids=["deterministic", "sampled"],
+)
+def test_construction_solves_two_linear_programs(pd_game, monkeypatch, construct) -> None:
+    """One threat LP and one commitment LP: the threat is solved only once."""
+    calls = []
+    solve = lp.simplex_solve
+
+    def counting_solve(program):
+        calls.append(program)
+        return solve(program)
+
+    monkeypatch.setattr(lp, "simplex_solve", counting_solve)
+    construct(pd_game)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_constructions_use_the_commitment_threat(seed: int) -> None:
+    rng = random.Random(4100 + seed)
+    game = random_game(rng, rng.randint(1, 3), rng.randint(1, 3))
+    expected = threat(game).strategy
+    solution = stackelberg_lp(game)
+    cycle_length = math.lcm(*(w.denominator for w in solution.alpha.values()))
+    built, _ = build_deterministic_gpa(game, cycle_length + 1)
+    assert built.threat_strategy == expected
+    assert sample_prescription(game, 9, seed).gpa.threat_strategy == expected

@@ -312,9 +312,16 @@ def test_max_follower_pair_tie_break_by_leader() -> None:
     assert (pair.row, pair.col) == (1, 2)  # leader payoff 1 beats 1/2 and 0
 
 
+def _negated(game):
+    """The game whose follower matrix is -M1, so its threat value is -game_value."""
+    return validate_game(game.m1, [[-v for v in row] for row in game.m1])
+
+
+# The reference is the follower-side dual LP of the negated game, not `threat`,
+# which `game_value` itself calls.
 def test_game_value_matches_negated_threat(matching_pennies) -> None:
     assert game_value(matching_pennies) == 0
-    assert game_value(matching_pennies) == -threat(matching_pennies).value
+    assert game_value(matching_pennies) == -_threat_dual_value(_negated(matching_pennies))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -323,4 +330,20 @@ def test_game_value_duality_on_zero_sum(seed: int) -> None:
 
     rng = random.Random(3000 + seed)
     game = random_zero_sum_game(rng, rng.randint(1, 3), rng.randint(1, 3))
-    assert game_value(game) == -threat(game).value
+    assert game_value(game) == -_threat_dual_value(_negated(game))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_game_value_duality_on_general_sum(seed: int) -> None:
+    rng = random.Random(3100 + seed)
+    game = random_game(rng, rng.randint(1, 3), rng.randint(1, 3))
+    assert game_value(game) == -_threat_dual_value(_negated(game))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stackelberg_lp_carries_its_threat(seed: int) -> None:
+    rng = random.Random(3200 + seed)
+    game = random_game(rng, rng.randint(1, 3), rng.randint(1, 3))
+    solution = stackelberg_lp(game)
+    assert solution.threat == threat(game)
+    assert solution.threat_value == solution.threat.value
