@@ -303,19 +303,25 @@ def transcript_to_json(transcript: Transcript) -> str:
     return stable_json({"pairs": [p.as_list() for p in transcript.pairs]})
 
 
+def parse_integer(value: object) -> int:
+    """A JSON integer; booleans, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"expected an integer, got {value!r}")
+    return value
+
+
+def parse_pair(entry: object) -> ActionPair:
+    """A JSON `[row, col]` list of two integers."""
+    if not (isinstance(entry, list) and len(entry) == 2):
+        raise InputError(f"expected a [row, col] pair, got {entry!r}")
+    return ActionPair(parse_integer(entry[0]), parse_integer(entry[1]))
+
+
 def transcript_from_json(text: str, game: BimatrixGame) -> Transcript:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid transcript file: {exc}") from exc
-    if not isinstance(data, dict) or "pairs" not in data:
-        raise InputError('transcript file must be an object with a "pairs" key')
-    pairs = []
-    for i, entry in enumerate(data["pairs"], start=1):
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise InputError(f"transcript entry {i} must be a [row, col] list")
-        row, col = entry
-        if not (isinstance(row, int) and isinstance(col, int)):
-            raise InputError(f"transcript entry {i} must hold integer indices")
-        pairs.append(ActionPair(row, col))
-    return Transcript(tuple(pairs), game)
+    if not isinstance(data, dict) or not isinstance(data.get("pairs"), list):
+        raise InputError('transcript file must be an object with a "pairs" list')
+    return Transcript(tuple(parse_pair(entry) for entry in data["pairs"]), game)

@@ -1,9 +1,12 @@
 """Leader strategy automata and their constructions.
 
-A GamePlayingAlgorithm maps the history of play so far to a mixed strategy
-for the current round.  Instances carry no mutable state: whether a threat
-has been triggered is re-derived from the history on every call, so a single
-instance can be shared freely.
+A GamePlayingAlgorithm is a finite automaton: `initial_state()`, a
+transition `step(state, pair)` on each played pair, and `strategy_at(t,
+state)`, the mixed strategy for round t+1 in that state.  States are
+hashable values, so the oracle and the simulator carry one state per
+player instead of the whole history.  Strategies without a compact state use
+the history itself as their state.  Instances carry no mutable state, so a
+single instance can be shared freely.
 
 Two constructions build prescribed-sequence automata from the commitment LP:
 
@@ -23,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from ._rng import CounterRng
 from .core import (
@@ -35,6 +38,8 @@ from .core import (
     format_rational,
     pair_order_key,
     pair_ordering,
+    parse_integer,
+    parse_pair,
     parse_rational,
     stable_json,
 )
@@ -44,6 +49,7 @@ from .lp import threat  # noqa: F401 -- kept bound: perfbench/tracer.py wraps gp
 _STREAM_SAMPLES = 3
 
 History = tuple[ActionPair, ...]
+State = Hashable
 
 
 class HorizonTooShort(InputError):
@@ -74,10 +80,12 @@ class ExactStrategyUnavailable(RuntimeError):
 class GamePlayingAlgorithm:
     """Base class: one player's algorithm for a finite-horizon repeated game.
 
-    Subclasses implement `round_strategy`, whose output may depend only on
-    the history passed in (plus construction-time randomness already baked
-    into the instance).  `n_actions` is the size of the owning player's
-    action set.
+    Subclasses either implement `strategy_at` together with `initial_state`
+    and `step` (an automaton), or implement `round_strategy` and keep the
+    default history-as-state automaton: state () and `state + (pair,)`.
+    Output may depend only on the state (plus construction-time randomness
+    already baked into the instance).  `n_actions` is the size of the owning
+    player's action set.
 
     Attributes:
         exact: the conditional distribution given any history is available
@@ -97,12 +105,37 @@ class GamePlayingAlgorithm:
             raise InputError("a player needs at least one action")
         self.n_actions = n_actions
 
+    def initial_state(self) -> State:
+        return ()
+
+    def step(self, state: State, pair: ActionPair) -> State:
+        return state + (pair,)
+
+    def strategy_at(self, t: int, state: State) -> MixedStrategy:
+        """The mixed strategy after t rounds that led to `state`."""
+        return self.round_strategy(state)
+
+    def probabilities_at(self, t: int, state: State) -> list[float]:
+        """Float view of `strategy_at` (simulation only)."""
+        return [float(w) for w in self.strategy_at(t, state).weights]
+
+    def _state_after(self, history: History) -> State:
+        state = self.initial_state()
+        for pair in history:
+            state = self.step(state, pair)
+        return state
+
     def round_strategy(self, history: History) -> MixedStrategy:
-        raise NotImplementedError
+        return self.strategy_at(len(history), self._state_after(history))
 
     def round_probabilities(self, history: History) -> list[float]:
         """Float view of the current conditional strategy (simulation only)."""
-        return [float(w) for w in self.round_strategy(history).weights]
+        return self.probabilities_at(len(history), self._state_after(history))
+
+
+def _pure_strategies(n_actions: int) -> tuple[MixedStrategy, ...]:
+    """Every pure strategy of a player, indexed by action - 1."""
+    return tuple(MixedStrategy.pure(a, n_actions) for a in range(1, n_actions + 1))
 
 
 class PrescribedSequenceGPA(GamePlayingAlgorithm):
@@ -110,7 +143,7 @@ class PrescribedSequenceGPA(GamePlayingAlgorithm):
 
     Before the follower has ever departed from the scripted column, round t
     plays the scripted leader row.  From the first deviation on, every round
-    plays the threat strategy.
+    plays the threat strategy.  The state is (rounds played, triggered).
     """
 
     kind = "prescribed"
@@ -133,24 +166,27 @@ class PrescribedSequenceGPA(GamePlayingAlgorithm):
         self.prescription = tuple(prescription)
         self.threat_strategy = threat_strategy
         self.randomness = "none" if threat_strategy.is_pure() else "per_round"
+        self._pure = _pure_strategies(game.rows)
 
     @property
     def horizon(self) -> int:
         return len(self.prescription)
 
-    def triggered(self, history: History) -> bool:
-        return any(
-            played.col != scripted.col
-            for played, scripted in zip(history, self.prescription)
-        )
+    def initial_state(self) -> tuple[int, bool]:
+        return 0, False
 
-    def round_strategy(self, history: History) -> MixedStrategy:
-        t = len(history)
+    def step(self, state: tuple[int, bool], pair: ActionPair) -> tuple[int, bool]:
+        played, triggered = state
+        if not triggered and played < self.horizon:
+            triggered = pair.col != self.prescription[played].col
+        return played + 1, triggered
+
+    def strategy_at(self, t: int, state: tuple[int, bool]) -> MixedStrategy:
         if t >= self.horizon:
             raise InputError("history extends beyond the horizon")
-        if self.triggered(history):
+        if state[1]:
             return self.threat_strategy
-        return MixedStrategy.pure(self.prescription[t].row, self.n_actions)
+        return self._pure[self.prescription[t].row - 1]
 
     def obedient_transcript(self) -> Transcript:
         """The transcript realized when the follower obeys every round."""
@@ -276,7 +312,10 @@ def build_sampled_gpa(
 
 
 class GrimTriggerGPA(GamePlayingAlgorithm):
-    """Cooperate until the follower's first departure, then punish forever."""
+    """Cooperate until the follower's first departure, then punish forever.
+
+    The state is the triggered bit.
+    """
 
     kind = "grim_trigger"
 
@@ -290,10 +329,15 @@ class GrimTriggerGPA(GamePlayingAlgorithm):
         self.cooperate_pair = cooperate_pair
         self.punish_row = punish_row
 
-    def round_strategy(self, history: History) -> MixedStrategy:
-        if any(pair.col != self.cooperate_pair.col for pair in history):
-            return MixedStrategy.pure(self.punish_row, self.n_actions)
-        return MixedStrategy.pure(self.cooperate_pair.row, self.n_actions)
+    def initial_state(self) -> bool:
+        return False
+
+    def step(self, state: bool, pair: ActionPair) -> bool:
+        return state or pair.col != self.cooperate_pair.col
+
+    def strategy_at(self, t: int, state: bool) -> MixedStrategy:
+        row = self.punish_row if state else self.cooperate_pair.row
+        return MixedStrategy.pure(row, self.n_actions)
 
 
 def grim_trigger(
@@ -307,7 +351,7 @@ class TwoPhaseDefectGPA(GamePlayingAlgorithm):
 
     Uses the standard prisoner's-dilemma orientation: row 1 / col 1 cooperate,
     row 2 / col 2 defect.  Any follower defection switches the leader to
-    defecting for the remainder of the game.
+    defecting for the remainder of the game.  The state is the triggered bit.
     """
 
     kind = "two_phase"
@@ -321,10 +365,14 @@ class TwoPhaseDefectGPA(GamePlayingAlgorithm):
         self.game = game
         self.phase1_len = phase1_len
 
-    def round_strategy(self, history: History) -> MixedStrategy:
-        if any(pair.col == 2 for pair in history):
-            return MixedStrategy.pure(2, self.n_actions)
-        if len(history) < self.phase1_len:
+    def initial_state(self) -> bool:
+        return False
+
+    def step(self, state: bool, pair: ActionPair) -> bool:
+        return state or pair.col == 2
+
+    def strategy_at(self, t: int, state: bool) -> MixedStrategy:
+        if state or t < self.phase1_len:
             return MixedStrategy.pure(2, self.n_actions)
         return MixedStrategy.pure(1, self.n_actions)
 
@@ -339,7 +387,8 @@ class MultiplicativeWeightsGPA(GamePlayingAlgorithm):
     Weights are exp(rate * cumulative payoff of each action against the
     realized opponent actions), evaluated in floating point; exponentials are
     irrational, so this strategy is quarantined from every exact solver path
-    and only exposes `round_probabilities`.
+    and only exposes float probabilities.  The state is the tuple of float
+    cumulative payoffs, one per own action.
     """
 
     kind = "mw"
@@ -356,26 +405,24 @@ class MultiplicativeWeightsGPA(GamePlayingAlgorithm):
         self.side = side
         self.learning_rate = learning_rate
 
-    def _cumulative_payoffs(self, history: History) -> list[float]:
-        totals = [0.0] * self.n_actions
-        for pair in history:
-            for action in range(1, self.n_actions + 1):
-                if self.side == "leader":
-                    payoff = self.game.m1[action - 1][pair.col - 1]
-                else:
-                    payoff = self.game.m2[pair.row - 1][action - 1]
-                totals[action - 1] += float(payoff)
-        return totals
+    def initial_state(self) -> tuple[float, ...]:
+        return (0.0,) * self.n_actions
 
-    def round_probabilities(self, history: History) -> list[float]:
+    def step(self, state: tuple[float, ...], pair: ActionPair) -> tuple[float, ...]:
+        if self.side == "leader":
+            payoffs = [self.game.m1[a][pair.col - 1] for a in range(self.n_actions)]
+        else:
+            payoffs = self.game.m2[pair.row - 1]
+        return tuple(total + float(payoff) for total, payoff in zip(state, payoffs))
+
+    def probabilities_at(self, t: int, state: tuple[float, ...]) -> list[float]:
         rate = float(self.learning_rate)
-        totals = self._cumulative_payoffs(history)
-        peak = max(totals)
-        weights = [math.exp(rate * (t - peak)) for t in totals]
+        peak = max(state)
+        weights = [math.exp(rate * (total - peak)) for total in state]
         norm = sum(weights)
         return [w / norm for w in weights]
 
-    def round_strategy(self, history: History) -> MixedStrategy:
+    def strategy_at(self, t: int, state: tuple[float, ...]) -> MixedStrategy:
         raise ExactStrategyUnavailable(
             "multiplicative weights cannot report exact rational strategies"
         )
@@ -430,19 +477,28 @@ def constant_gpa(strategy: MixedStrategy) -> ConstantGPA:
 
 
 class PrescriptionFollower(GamePlayingAlgorithm):
-    """Follower that replays the column script of a prescription verbatim."""
+    """Follower that replays the column script of a prescription verbatim.
+
+    Its play depends on the round alone, so it has a single state.
+    """
 
     kind = "obedient"
 
     def __init__(self, prescription: Sequence[ActionPair], n_actions: int):
         super().__init__(n_actions)
         self.prescription = tuple(prescription)
+        self._pure = _pure_strategies(n_actions)
 
-    def round_strategy(self, history: History) -> MixedStrategy:
-        t = len(history)
+    def initial_state(self) -> None:
+        return None
+
+    def step(self, state: None, pair: ActionPair) -> None:
+        return None
+
+    def strategy_at(self, t: int, state: None) -> MixedStrategy:
         if t >= len(self.prescription):
             raise InputError("history extends beyond the prescription")
-        return MixedStrategy.pure(self.prescription[t].col, self.n_actions)
+        return self._pure[self.prescription[t].col - 1]
 
 
 def prescription_follower(
@@ -455,7 +511,8 @@ class MyopicBestResponder(GamePlayingAlgorithm):
     """Follower that best-replies to the leader's current round strategy.
 
     Uses exact expectations whenever the leader can provide them, floats
-    otherwise; ties resolve to the lowest column index.
+    otherwise; ties resolve to the lowest column index.  Its state is the
+    leader's state.
     """
 
     kind = "myopic"
@@ -465,15 +522,21 @@ class MyopicBestResponder(GamePlayingAlgorithm):
         self.game = game
         self.leader = leader
 
-    def round_strategy(self, history: History) -> MixedStrategy:
+    def initial_state(self) -> State:
+        return self.leader.initial_state()
+
+    def step(self, state: State, pair: ActionPair) -> State:
+        return self.leader.step(state, pair)
+
+    def strategy_at(self, t: int, state: State) -> MixedStrategy:
         if self.leader.exact:
-            strategy = self.leader.round_strategy(history)
+            strategy = self.leader.strategy_at(t, state)
             scores = [
                 strategy.expected([self.game.m2[i][j] for i in range(self.game.rows)])
                 for j in range(self.game.cols)
             ]
         else:
-            probs = self.leader.round_probabilities(history)
+            probs = self.leader.probabilities_at(t, state)
             scores = [
                 sum(p * float(self.game.m2[i][j]) for i, p in enumerate(probs))
                 for j in range(self.game.cols)
@@ -562,32 +625,20 @@ def gpa_from_json(text: str, game: BimatrixGame) -> GamePlayingAlgorithm:
         raise InputError(f"malformed {kind!r} strategy file: {exc}") from exc
 
 
-def _integer(value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _pair(entry: object) -> ActionPair:
-    if not (isinstance(entry, list) and len(entry) == 2):
-        raise InputError(f"expected a [row, col] pair, got {entry!r}")
-    return ActionPair(_integer(entry[0]), _integer(entry[1]))
-
-
 def _gpa_from_data(kind: object, data: dict, game: BimatrixGame) -> GamePlayingAlgorithm:
     if kind == "prescribed":
-        prescription = [_pair(entry) for entry in data["prescription"]]
+        prescription = [parse_pair(entry) for entry in data["prescription"]]
         weights = tuple(parse_rational(w) for w in data["threat"])
         return PrescribedSequenceGPA(game, prescription, MixedStrategy(weights))
     if kind == "grim_trigger":
-        return GrimTriggerGPA(game, _pair(data["cooperate"]), _integer(data["punish_row"]))
+        return GrimTriggerGPA(game, parse_pair(data["cooperate"]), parse_integer(data["punish_row"]))
     if kind == "two_phase":
-        return TwoPhaseDefectGPA(game, _integer(data["phase1_len"]))
+        return TwoPhaseDefectGPA(game, parse_integer(data["phase1_len"]))
     if kind == "mw":
         return MultiplicativeWeightsGPA(
             game, data["side"], parse_rational(data["learning_rate"])
         )
     if kind == "lookup":
-        table = {_history_from_key(k): _integer(a) for k, a in data["table"].items()}
-        return LookupTableGPA(table, _integer(data["n_actions"]))
+        table = {_history_from_key(k): parse_integer(a) for k, a in data["table"].items()}
+        return LookupTableGPA(table, parse_integer(data["n_actions"]))
     raise InputError(f"unknown strategy kind {kind!r}")

@@ -1,11 +1,13 @@
 """Ground truth for follower behavior.
 
-`best_response` is an exact dynamic program over history prefixes: it
-computes the follower's optimal total payoff against a declared leader
-strategy, breaking ties first in favor of the leader's continuation value
-and then by lowest action index.  Everything downstream (gap measurements,
-the acceptance suite) treats its output as the reference answer, so it fails
-loudly when the state space exceeds its budget rather than truncating.
+`best_response` is an exact dynamic program over the leader automaton's
+reachable (round, state) pairs: it computes the follower's optimal total
+payoff against a declared leader strategy, breaking ties first in favor of
+the leader's continuation value and then by lowest action index.  It runs
+iteratively, so the horizon meets no recursion limit.  Everything downstream
+(gap measurements, the acceptance suite) treats its output as the reference
+answer, so it fails loudly when the state space exceeds its budget rather
+than truncating.
 
 `verify_prescription` is the linear-time check that obeying a prescribed
 sequence is optimal: at every round the scripted suffix must be worth at
@@ -16,8 +18,9 @@ is the complete fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from ._rng import CounterRng
 from .core import (
@@ -29,7 +32,7 @@ from .core import (
     format_rational,
     stable_json,
 )
-from .gpa import GamePlayingAlgorithm, History, PrescribedSequenceGPA, history_key
+from .gpa import GamePlayingAlgorithm, History, PrescribedSequenceGPA, State, history_key
 from .lp import max_follower_pair, stackelberg_lp
 
 DEFAULT_STATE_BUDGET = 2_000_000
@@ -39,15 +42,17 @@ _STREAM_FOLLOWER = 2
 
 
 class StateSpaceExceeded(RuntimeError):
-    """The backward-induction state space outgrew the configured budget."""
+    """The best-response state space outgrew the configured budget."""
 
-    def __init__(self, budget: int, visited: int):
+    def __init__(self, budget: int, visited: int, horizon: int, round: int):
         super().__init__(
-            f"best-response state space exceeded budget of {budget} prefixes "
-            f"(aborted after visiting {visited})"
+            f"best-response state space exceeded budget of {budget} states "
+            f"at round {round} of T={horizon} (aborted after visiting {visited})"
         )
         self.budget = budget
         self.visited = visited
+        self.horizon = horizon
+        self.round = round
 
 
 class RandomnessContractViolation(RuntimeError):
@@ -58,15 +63,37 @@ class RandomnessContractViolation(RuntimeError):
 class BestResponseResult:
     """Exact follower optimum against a fixed leader strategy.
 
-    `follower_policy` maps every evaluated history prefix to the follower's
-    chosen column.  `follower_value` is the maximal expected total follower
-    payoff; `leader_value` is the expected total leader payoff under the
-    leader-favorable tie-breaking among follower optima.
+    `decisions[t]` maps each reachable leader state after t rounds to the
+    follower's chosen column.  `follower_value` is the maximal expected total
+    follower payoff; `leader_value` is the expected total leader payoff under
+    the leader-favorable tie-breaking among follower optima.
     """
 
-    follower_policy: dict[History, int]
     follower_value: Fraction
     leader_value: Fraction
+    decisions: tuple[dict[State, int], ...]
+    leader: GamePlayingAlgorithm = field(repr=False, compare=False)
+
+    @cached_property
+    def follower_policy(self) -> dict[History, int]:
+        """The decisions keyed by history, on path only: the histories reached
+        when the follower plays them and the leader realizes any action in its
+        conditional support.  Built on first access; the keys hold O(T^2)
+        pairs in total even when the automaton has O(T) states."""
+        horizon = len(self.decisions)
+        policy: dict[History, int] = {}
+        frontier: list[tuple[History, State]] = [((), self.leader.initial_state())]
+        while frontier:
+            history, state = frontier.pop()
+            t = len(history)
+            if t == horizon:
+                continue
+            col = self.decisions[t][state]
+            policy[history] = col
+            for row in self.leader.strategy_at(t, state).support():
+                pair = ActionPair(row, col)
+                frontier.append((history + (pair,), self.leader.step(state, pair)))
+        return policy
 
 
 def best_response(
@@ -75,12 +102,14 @@ def best_response(
     horizon: int,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> BestResponseResult:
-    """Backward induction over history prefixes.
+    """Backward induction over the leader automaton's reachable states.
 
-    At each history the follower's value for a column is the expectation over
-    the leader's conditional strategy of the immediate payoff plus the value
-    of the extended history; the follower takes the best column, ties broken
-    by leader continuation value, then by lowest column index.
+    A forward pass collects the states reachable after each round; the
+    budget counts them.  A backward pass then values each state: the
+    follower's value for a column is the expectation over the leader's
+    conditional strategy of the immediate payoff plus the value of the
+    successor state; the follower takes the best column, ties broken by
+    leader continuation value, then by lowest column index.
     """
     if horizon < 1:
         raise InputError("horizon must be at least 1")
@@ -93,44 +122,63 @@ def best_response(
             "best response requires the leader's exact conditional strategies"
         )
 
-    policy: dict[History, int] = {}
-    memo: dict[History, tuple[Fraction, Fraction]] = {}
+    # layers[t] maps each state after t rounds to its leader support and, per
+    # column, the successor state of each support row.
+    layers: list[dict[State, tuple[list, list[list[State]]]]] = []
+    frontier: dict[State, None] = {leader.initial_state(): None}
+    visited = 0
+    for t in range(horizon):
+        layer = {}
+        successors: dict[State, None] = {}
+        for state in frontier:
+            visited += 1
+            if visited > budget:
+                raise StateSpaceExceeded(budget, visited, horizon, t + 1)
+            strategy = leader.strategy_at(t, state)
+            support = [
+                (row, weight)
+                for row, weight in enumerate(strategy.weights, start=1)
+                if weight > 0
+            ]
+            children = [
+                [leader.step(state, ActionPair(row, col)) for row, _ in support]
+                for col in range(1, game.cols + 1)
+            ]
+            for column_children in children:
+                successors.update(dict.fromkeys(column_children))
+            layer[state] = (support, children)
+        layers.append(layer)
+        frontier = successors
 
-    def value(history: History) -> tuple[Fraction, Fraction]:
-        if len(history) == horizon:
-            return Fraction(0), Fraction(0)
-        cached = memo.get(history)
-        if cached is not None:
-            return cached
-        strategy = leader.round_strategy(history)
-        support = [
-            (row, weight)
-            for row, weight in enumerate(strategy.weights, start=1)
-            if weight > 0
-        ]
-        best: tuple[Fraction, Fraction] | None = None
-        best_col = 1
-        for col in range(1, game.cols + 1):
-            follower_total = Fraction(0)
-            leader_total = Fraction(0)
-            for row, weight in support:
-                pair = ActionPair(row, col)
-                child_follower, child_leader = value(history + (pair,))
-                follower_total += weight * (game.follower_payoff(pair) + child_follower)
-                leader_total += weight * (game.leader_payoff(pair) + child_leader)
-            candidate = (follower_total, leader_total)
-            if best is None or candidate > best:
-                best = candidate
-                best_col = col
-        assert best is not None
-        memo[history] = best
-        policy[history] = best_col
-        if len(memo) > budget:
-            raise StateSpaceExceeded(budget, len(memo))
-        return best
+    zero = (Fraction(0), Fraction(0))
+    values: dict[State, tuple[Fraction, Fraction]] = dict.fromkeys(frontier, zero)
+    decisions: list[dict[State, int]] = []
+    while layers:
+        layer_values = {}
+        layer_decisions = {}
+        for state, (support, children) in layers.pop().items():
+            best: tuple[Fraction, Fraction] | None = None
+            best_col = 1
+            for col, column_children in enumerate(children, start=1):
+                follower_total = Fraction(0)
+                leader_total = Fraction(0)
+                for (row, weight), child in zip(support, column_children):
+                    child_follower, child_leader = values[child]
+                    follower_total += weight * (game.m2[row - 1][col - 1] + child_follower)
+                    leader_total += weight * (game.m1[row - 1][col - 1] + child_leader)
+                candidate = (follower_total, leader_total)
+                if best is None or candidate > best:
+                    best = candidate
+                    best_col = col
+            assert best is not None
+            layer_values[state] = best
+            layer_decisions[state] = best_col
+        values = layer_values
+        decisions.append(layer_decisions)
+    decisions.reverse()
 
-    follower_value, leader_value = value(())
-    return BestResponseResult(policy, follower_value, leader_value)
+    follower_value, leader_value = values[leader.initial_state()]
+    return BestResponseResult(follower_value, leader_value, tuple(decisions), leader)
 
 
 def on_path_transcript(
@@ -143,13 +191,14 @@ def on_path_transcript(
     """
     if leader.randomness != "none":
         raise InputError("on-path transcript requires a deterministic leader")
-    history: History = ()
-    for _ in range(horizon):
-        strategy = leader.round_strategy(history)
-        (row,) = strategy.support()
-        col = result.follower_policy[history]
-        history = history + (ActionPair(row, col),)
-    return Transcript(history, game)
+    state = leader.initial_state()
+    pairs = []
+    for t in range(horizon):
+        (row,) = leader.strategy_at(t, state).support()
+        pair = ActionPair(row, result.decisions[t][state])
+        pairs.append(pair)
+        state = leader.step(state, pair)
+    return Transcript(tuple(pairs), game)
 
 
 @dataclass(frozen=True)
@@ -210,25 +259,35 @@ def simulate(
 
     Each player's randomness comes from its own stream of the seeded
     counter-based generator, draw t for round t, so the transcript is a pure
-    function of (leader, follower, game, horizon, seed).
+    function of (leader, follower, game, horizon, seed).  A round whose
+    strategy is pure takes no draw; since draws are indexed by round,
+    skipping one changes no other.
     """
     leader_rng = CounterRng(seed, _STREAM_LEADER)
     follower_rng = CounterRng(seed, _STREAM_FOLLOWER)
-    history: History = ()
-    for t in range(1, horizon + 1):
-        row = _sample_action(leader, history, leader_rng, t)
-        col = _sample_action(follower, history, follower_rng, t)
-        history = history + (ActionPair(row, col),)
-    return Transcript(history, game)
+    leader_state = leader.initial_state()
+    follower_state = follower.initial_state()
+    pairs = []
+    for t in range(horizon):
+        row = _sample_action(leader, t, leader_state, leader_rng)
+        col = _sample_action(follower, t, follower_state, follower_rng)
+        pair = ActionPair(row, col)
+        pairs.append(pair)
+        leader_state = leader.step(leader_state, pair)
+        follower_state = follower.step(follower_state, pair)
+    return Transcript(tuple(pairs), game)
 
 
-def _sample_action(
-    player: GamePlayingAlgorithm, history: History, rng: CounterRng, counter: int
-) -> int:
+def _sample_action(player: GamePlayingAlgorithm, t: int, state: State, rng: CounterRng) -> int:
+    """The player's action in round t + 1, from draw t + 1 when it mixes."""
     if player.exact:
-        return player.round_strategy(history).sample_index(rng.unit_fraction(counter))
-    probabilities = player.round_probabilities(history)
-    u = rng.unit_float(counter)
+        strategy = player.strategy_at(t, state)
+        support = strategy.support()
+        if len(support) == 1:
+            return support[0]
+        return strategy.sample_index(rng.unit_fraction(t + 1))
+    probabilities = player.probabilities_at(t, state)
+    u = rng.unit_float(t + 1)
     cumulative = 0.0
     for action, p in enumerate(probabilities, start=1):
         cumulative += p
@@ -309,23 +368,15 @@ def best_response_to_json(
     """Serialize values plus the on-path slice of the policy.
 
     On-path histories are those reachable when the follower plays the policy
-    and the leader realizes any action in its conditional support.
+    and the leader realizes any action in its conditional support; the slice
+    is `result.follower_policy`.
     """
-    on_path: dict[str, int] = {}
-    frontier: list[History] = [()]
-    while frontier:
-        history = frontier.pop()
-        if len(history) == horizon or history not in result.follower_policy:
-            continue
-        col = result.follower_policy[history]
-        on_path[history_key(history)] = col
-        strategy = leader.round_strategy(history)
-        for row in strategy.support():
-            frontier.append(history + (ActionPair(row, col),))
     return stable_json(
         {
             "follower_value": format_rational(result.follower_value),
             "leader_value": format_rational(result.leader_value),
-            "on_path_policy": on_path,
+            "on_path_policy": {
+                history_key(history): col for history, col in result.follower_policy.items()
+            },
         }
     )

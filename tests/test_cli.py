@@ -126,6 +126,29 @@ def test_evaluate_budget_exceeded_exits_3(pd_file, tmp_path, capsys) -> None:
     assert code == 3
 
 
+def test_evaluate_budget_exceeded_names_the_horizon(pd_file, tmp_path, capsys) -> None:
+    out_path = tmp_path / "gpa.json"
+    assert main(["build", pd_file, "-T", "11", "-o", str(out_path)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", pd_file, str(out_path), "--budget", "10"]) == 3
+    err = capsys.readouterr().err
+    assert "T=11" in err
+    assert "round 6" in err
+
+
+def test_evaluate_single_column_long_horizon(tmp_path, capsys) -> None:
+    """A horizon far past Python's recursion limit evaluates exactly."""
+    game_path = tmp_path / "column.json"
+    game_path.write_text('{"M1": [["1/2"], ["-1/2"]], "M2": [["1/4"], [1]]}')
+    gpa_path = tmp_path / "gpa.json"
+    assert main(["build", str(game_path), "-T", "1500", "-o", str(gpa_path)]) == 0
+    capsys.readouterr()
+    code, out = run(capsys, "evaluate", str(game_path), str(gpa_path))
+    assert code == 0
+    assert "verdict = Obeys" in out
+    assert "follower average = 501/2000" in out
+
+
 def test_simulate_obedient(pd_file, tmp_path, capsys) -> None:
     out_path = tmp_path / "gpa.json"
     assert main(["build", pd_file, "-T", "11", "-o", str(out_path)]) == 0
@@ -224,6 +247,14 @@ def test_malformed_game_file_exits_2(tmp_path, capsys, game) -> None:
     path = tmp_path / "game.json"
     path.write_text(game)
     assert main(["threat", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("transcript", ['{"pairs": 5}', '{"pairs": [[true, 1], [2, 2]]}'])
+def test_malformed_transcript_file_exits_2(pd_file, tmp_path, capsys, transcript) -> None:
+    path = tmp_path / "transcript.json"
+    path.write_text(transcript)
+    assert main(["regret", pd_file, str(path)]) == 2
     assert "error:" in capsys.readouterr().err
 
 
