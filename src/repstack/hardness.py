@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -306,7 +307,9 @@ def grid_audit_player3(
 
     Both players' strategies range over all weight vectors in multiples of
     1/resolution.  The result is an empirical floor: it certifies the bound
-    at grid points only, not over the whole simplex.
+    at grid points only, not over the whole simplex.  The sweep runs in
+    integers (payoffs over the LCM of their denominators) and builds one
+    `Fraction` at the end.
     """
     if resolution < 1:
         raise InputError("resolution must be at least 1")
@@ -316,37 +319,29 @@ def grid_audit_player3(
         raise BudgetExceeded(
             f"grid audit needs {points * points * k} evaluations, budget is {budget}"
         )
-    grid = [point for point in _grid_points(n, resolution)]
-    res = Fraction(resolution)
-    worst: Fraction | None = None
+    grid = list(_grid_points(n, resolution))
+    # Integer payoffs over one common denominator; a grid weight q stands for
+    # q/resolution, so every total below is (scale * resolution^2) times the
+    # exact expected payoff and compares in the same order.
+    scale = math.lcm(*(v.denominator for plane in game3.mu3 for cell in plane for v in cell))
+    mu3 = [
+        [[v.numerator * (scale // v.denominator) for v in cell] for cell in plane]
+        for plane in game3.mu3
+    ]
+    worst: int | None = None
     for q2 in grid:
         # For fixed p2, precompute each action's payoff vector against p1 rows.
-        contracted: list[list[Fraction]] = []
-        for t in range(k):
-            row_values = []
-            for r in range(1, n + 1):
-                total = Fraction(0)
-                for s in range(1, n + 1):
-                    if q2[s - 1]:
-                        total += Fraction(q2[s - 1]) * game3.payoff3(r, s, t)
-                row_values.append(total / res)
-            contracted.append(row_values)
+        weighted = [(s, w) for s, w in enumerate(q2) if w]
+        contracted = [
+            [sum(w * mu3[r][s][t] for s, w in weighted) for r in range(n)]
+            for t in range(k)
+        ]
         for q1 in grid:
-            best: Fraction | None = None
-            for t in range(k):
-                row_values = contracted[t]
-                total = Fraction(0)
-                for r in range(n):
-                    if q1[r]:
-                        total += Fraction(q1[r]) * row_values[r]
-                total /= res
-                if best is None or total > best:
-                    best = total
-            assert best is not None
+            best = max(sum(map(operator.mul, q1, row)) for row in contracted)
             if worst is None or best < worst:
                 worst = best
     assert worst is not None
-    return worst
+    return Fraction(worst, scale * resolution * resolution)
 
 
 class ColoringLeaderGPA(GamePlayingAlgorithm):

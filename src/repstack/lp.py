@@ -1,14 +1,19 @@
 """Exact rational linear programming and the leader-commitment LPs.
 
-The simplex solver works entirely over `fractions.Fraction` with Bland's
-anti-cycling pivot rule, so it terminates on every input and returns the same
-optimal vertex for the same program every time.  On top of it sit the two
-game LPs: the zero-sum threat computation and the commitment LP that bounds
-what any leader strategy can extract from a best-responding follower.
+The simplex solver runs on an integer tableau: the constraint block is
+multiplied by one common denominator and pivoted fraction-free (Bareiss), so
+no pivot computes a gcd, and every value it returns is a `Fraction` read off
+the final tableau.  Bland's anti-cycling pivot rule makes it terminate on
+every input and return the same optimal vertex for the same program every
+time.  On top of it sit the two game LPs: the zero-sum threat computation and
+the commitment LP that bounds what any leader strategy can extract from a
+best-responding follower.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -31,7 +36,9 @@ class LinearProgram:
     """maximize objective . x  subject to  a_eq x = b_eq,  a_ge x >= b_ge.
 
     Each variable has a rational lower bound (0 unless overridden; None means
-    the variable is free).  There are no implicit upper bounds.
+    the variable is free).  There are no implicit upper bounds.  Every
+    coefficient, right-hand side and bound is an `int` or a `Fraction`;
+    anything else (floats, bools) raises `InputError`.
     """
 
     objective: tuple[Fraction, ...]
@@ -53,6 +60,19 @@ class LinearProgram:
                     raise InputError(f"{label} constraint row has wrong width")
         if self.lower_bounds is not None and len(self.lower_bounds) != n:
             raise InputError("lower_bounds has wrong length")
+        numbers = itertools.chain(
+            self.objective,
+            *self.a_eq,
+            self.b_eq,
+            *self.a_ge,
+            self.b_ge,
+            (b for b in self.lower_bounds or () if b is not None),
+        )
+        for value in numbers:
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise InputError(
+                    f"linear program data must be int or Fraction, got {value!r}"
+                )
 
     def bounds(self) -> tuple[Fraction | None, ...]:
         if self.lower_bounds is None:
@@ -65,38 +85,58 @@ class LPSolution:
     """Solver outcome; `values` and `objective_value` are set iff OPTIMAL.
 
     When OPTIMAL, the returned point satisfies every constraint exactly; there
-    is no tolerance anywhere.
+    is no tolerance anywhere.  `pivots` counts the simplex pivots of phase 1
+    (including those that drive artificials out of the basis) and of phase 2;
+    it is (0, 0) when the program has no constraints.
     """
 
     status: LPStatus
     values: tuple[Fraction, ...] | None = None
     objective_value: Fraction | None = None
+    pivots: tuple[int, int] = (0, 0)
 
 
-def _pivot(tableau: list[list[Fraction]], pivot_row: int, pivot_col: int) -> None:
+def _pivot(
+    tableau: list[list[int]], pivot_row: int, pivot_col: int, denominator: int
+) -> int:
+    """Integer-preserving (Bareiss) pivot; returns the new common denominator.
+
+    The tableau holds `denominator` times the true rational tableau.  Every
+    other row becomes (p*row - row[e]*pivot_row) / denominator, where p is the
+    pivot, and the division is exact by Sylvester's identity.  A negative
+    pivot (possible when driving out artificials) first negates the pivot
+    row, which negates every row of the result and keeps the denominator
+    positive, so signs in the tableau are the true tableau's signs.
+    """
     row = tableau[pivot_row]
-    factor = row[pivot_col]
-    tableau[pivot_row] = [v / factor for v in row]
-    row = tableau[pivot_row]
+    if row[pivot_col] < 0:
+        row = tableau[pivot_row] = [-v for v in row]
+    p = row[pivot_col]
     for i, other in enumerate(tableau):
         if i == pivot_row:
             continue
         coeff = other[pivot_col]
-        if coeff != 0:
-            tableau[i] = [a - coeff * b for a, b in zip(other, row)]
+        if coeff:
+            tableau[i] = [(p * a - coeff * b) // denominator for a, b in zip(other, row)]
+        elif p != denominator:
+            tableau[i] = [p * a // denominator for a in other]
+    return p
 
 
 def _bland_optimize(
-    tableau: list[list[Fraction]], basis: list[int], n_cols: int
-) -> LPStatus:
+    tableau: list[list[int]], basis: list[int], n_cols: int, denominator: int
+) -> tuple[LPStatus, int, int]:
     """Run simplex iterations on a feasible tableau until optimal or unbounded.
 
     Row 0 holds reduced costs for maximization (entering while any is < 0);
     entering column is the lowest-index eligible one and the leaving row is
     the minimum-ratio row with the lowest basis variable index (Bland's rule,
-    which guarantees termination on degenerate programs).
+    which guarantees termination on degenerate programs).  Ratios share the
+    tableau's denominator, so they are compared by cross-multiplication.
+    Returns the status, the final denominator and the number of pivots.
     """
     m = len(tableau) - 1
+    pivots = 0
     while True:
         entering = -1
         for j in range(n_cols):
@@ -104,36 +144,50 @@ def _bland_optimize(
                 entering = j
                 break
         if entering < 0:
-            return LPStatus.OPTIMAL
+            return LPStatus.OPTIMAL, denominator, pivots
         leaving = -1
-        best_ratio: Fraction | None = None
         for i in range(1, m + 1):
             coeff = tableau[i][entering]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i - 1] < basis[leaving - 1])
+                if leaving < 0:
+                    leaving = i
+                    continue
+                ratio = tableau[i][-1] * tableau[leaving][entering]
+                best_ratio = tableau[leaving][-1] * coeff
+                if ratio < best_ratio or (
+                    ratio == best_ratio and basis[i - 1] < basis[leaving - 1]
                 ):
-                    best_ratio = ratio
                     leaving = i
         if leaving < 0:
-            return LPStatus.UNBOUNDED
-        _pivot(tableau, leaving, entering)
+            return LPStatus.UNBOUNDED, denominator, pivots
+        denominator = _pivot(tableau, leaving, entering, denominator)
         basis[leaving - 1] = entering
+        pivots += 1
 
 
 def _rebuild_cost_row(
-    tableau: list[list[Fraction]], basis: list[int], costs: Sequence[Fraction], n_cols: int
+    tableau: list[list[int]], basis: list[int], costs: Sequence[int], denominator: int
 ) -> None:
-    """Set row 0 to reduced costs c_B B^-1 A - c and the basic objective value."""
-    row0 = [-c for c in costs] + [ZERO] * (n_cols - len(costs)) + [ZERO]
+    """Set row 0 to denominator * (c_B B^-1 A - c) and the scaled basic objective.
+
+    `costs` are integers over the tableau's columns; the constraint rows
+    already hold denominator * B^-1 A, so the sum needs no division.
+    """
+    row0 = [-denominator * c for c in costs] + [0]
     for i, var in enumerate(basis, start=1):
-        cb = costs[var] if var < len(costs) else ZERO
-        if cb != 0:
+        cb = costs[var]
+        if cb:
             row0 = [a + cb * b for a, b in zip(row0, tableau[i])]
     tableau[0] = row0
+
+
+def _common_scale(values: Sequence[Fraction]) -> int:
+    """The least common multiple of the denominators of `values`."""
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _scaled(values: Sequence[Fraction], scale: int) -> list[int]:
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def simplex_solve(lp: LinearProgram) -> LPSolution:
@@ -141,7 +195,9 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
 
     Returns the canonical optimal basic solution for the program (fixed pivot
     rule, hence deterministic), or a solution object with INFEASIBLE /
-    UNBOUNDED status.
+    UNBOUNDED status.  The tableau is integer: the constraint block is
+    multiplied by the LCM of its denominators and every pivot is
+    fraction-free, so the only `Fraction`s are built from the final tableau.
     """
     n = len(lp.objective)
     bounds = lp.bounds()
@@ -174,25 +230,20 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
         return out, offset
 
     rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
     n_slacks = len(lp.a_ge)
     for row, b in zip(lp.a_eq, lp.b_eq):
         expanded, offset = expand(row)
-        rows.append(expanded + [ZERO] * n_slacks)
-        rhs.append(b - offset)
+        rows.append(expanded + [ZERO] * n_slacks + [b - offset])
     for k, (row, b) in enumerate(zip(lp.a_ge, lp.b_ge)):
         expanded, offset = expand(row)
         slack = [ZERO] * n_slacks
         slack[k] = Fraction(-1)
-        rows.append(expanded + slack)
-        rhs.append(b - offset)
+        rows.append(expanded + slack + [b - offset])
 
     n_real = n_std + n_slacks
     m = len(rows)
-    objective_std = [ZERO] * n_real
-    obj_offset = ZERO
-    expanded_obj, obj_offset = expand(lp.objective)
-    objective_std[:n_std] = expanded_obj
+    expanded_obj, _ = expand(lp.objective)
+    objective_std = expanded_obj + [ZERO] * n_slacks
 
     if m == 0:
         # No constraints: optimum is at the lower bounds unless some objective
@@ -202,29 +253,33 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
                 return LPSolution(LPStatus.UNBOUNDED)
             if c > 0:
                 return LPSolution(LPStatus.UNBOUNDED)
-        values = tuple(b if b is not None else ZERO for b in bounds)
+        values = tuple(Fraction(b) if b is not None else ZERO for b in bounds)
         value = sum((c * v for c, v in zip(lp.objective, values)), ZERO)
         return LPSolution(LPStatus.OPTIMAL, values, value)
 
+    # One common scale for the whole constraint block.  Scaling rows
+    # separately would change the signs of phase-1 reduced costs, and with
+    # them Bland's choices; one scale keeps every sign and ratio order, since
+    # the identity artificial columns then stand for artificials scaled by L.
+    scale = _common_scale([v for row in rows for v in row])
+
     # Phase 1: artificial variable per row, minimize their sum.
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
     n_total = n_real + m
-    tableau: list[list[Fraction]] = [[ZERO] * (n_total + 1)]
+    tableau: list[list[int]] = [[]]
     basis: list[int] = []
-    for i in range(m):
-        art = [ZERO] * m
-        art[i] = ONE
-        tableau.append(rows[i] + art + [rhs[i]])
+    for i, row in enumerate(rows):
+        scaled = _scaled(row, scale)
+        if scaled[-1] < 0:
+            scaled = [-v for v in scaled]
+        art = [0] * m
+        art[i] = 1
+        tableau.append(scaled[:n_real] + art + scaled[-1:])
         basis.append(n_real + i)
-    phase1_costs = [ZERO] * n_real + [Fraction(-1)] * m
-    _rebuild_cost_row(tableau, basis, phase1_costs, n_total)
-    status = _bland_optimize(tableau, basis, n_total)
+    _rebuild_cost_row(tableau, basis, [0] * n_real + [-1] * m, 1)
+    status, denominator, phase1_pivots = _bland_optimize(tableau, basis, n_total, 1)
     assert status is LPStatus.OPTIMAL  # phase 1 objective is bounded above by 0
     if tableau[0][-1] != 0:
-        return LPSolution(LPStatus.INFEASIBLE)
+        return LPSolution(LPStatus.INFEASIBLE, pivots=(phase1_pivots, 0))
 
     # Drive leftover artificial variables out of the basis; a row with no
     # real-column entry is redundant and gets dropped.
@@ -237,22 +292,29 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
             if pivot_col is None:
                 drop_rows.append(i + 1)
             else:
-                _pivot(tableau, i + 1, pivot_col)
+                denominator = _pivot(tableau, i + 1, pivot_col, denominator)
                 basis[i] = pivot_col
+                phase1_pivots += 1
     for i in sorted(drop_rows, reverse=True):
         del tableau[i]
         del basis[i - 1]
 
-    # Phase 2 on real columns only.
+    # Phase 2 on real columns only, with the objective scaled to integers.
     tableau = [row[:n_real] + [row[-1]] for row in tableau]
-    _rebuild_cost_row(tableau, basis, objective_std, n_real)
-    status = _bland_optimize(tableau, basis, n_real)
+    costs = _scaled(objective_std, _common_scale(objective_std))
+    _rebuild_cost_row(tableau, basis, costs, denominator)
+    status, denominator, phase2_pivots = _bland_optimize(
+        tableau, basis, n_real, denominator
+    )
+    pivots = (phase1_pivots, phase2_pivots)
     if status is LPStatus.UNBOUNDED:
-        return LPSolution(LPStatus.UNBOUNDED)
+        return LPSolution(LPStatus.UNBOUNDED, pivots=pivots)
 
+    # The tableau holds denominator * B^-1 b for the scaled rows, which is
+    # denominator * x: the row scale cancels against the basis.
     std_values = [ZERO] * n_real
     for var, row in zip(basis, tableau[1:]):
-        std_values[var] = row[-1]
+        std_values[var] = Fraction(row[-1], denominator)
     values = []
     for j in range(n):
         total = sum(
@@ -260,7 +322,7 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
         )
         values.append(total + shift[j])
     objective_value = sum((c * v for c, v in zip(lp.objective, values)), ZERO)
-    return LPSolution(LPStatus.OPTIMAL, tuple(values), objective_value)
+    return LPSolution(LPStatus.OPTIMAL, tuple(values), objective_value, pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ the package's backward-induction oracle: they enumerate follower strategies
 outright and never use a bellman-style max, so they can serve as ground
 truth for it.  The history-prefix helpers are the oracle as it was before it
 ran over automaton states: a recursion over every history prefix, kept as
-the reference that the state-based oracle must match exactly.
+the reference that the state-based oracle must match exactly.  Likewise
+`fraction_simplex_solve` and `fraction_grid_audit_player3` are the solvers as
+they were before they ran on integers: every tableau entry and grid total a
+`Fraction`.  The integer kernels must match them exactly, pivot counts
+included.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import pytest
 from repstack import ActionPair, BimatrixGame, Transcript, format_rational, validate_game
 from repstack.core import stable_json
 from repstack.gpa import GamePlayingAlgorithm, History, history_key
+from repstack.hardness import ThreePlayerGame, _grid_points
+from repstack.lp import LinearProgram, LPSolution, LPStatus
 
 
 @pytest.fixture
@@ -237,3 +243,215 @@ def history_prefix_transcript(
         col = result.follower_policy[history]
         history = history + (ActionPair(row, col),)
     return Transcript(history, game)
+
+
+def _fraction_pivot(tableau: list[list[Fraction]], pivot_row: int, pivot_col: int) -> None:
+    row = tableau[pivot_row]
+    factor = row[pivot_col]
+    tableau[pivot_row] = [v / factor for v in row]
+    row = tableau[pivot_row]
+    for i, other in enumerate(tableau):
+        if i == pivot_row:
+            continue
+        coeff = other[pivot_col]
+        if coeff != 0:
+            tableau[i] = [a - coeff * b for a, b in zip(other, row)]
+
+
+def _fraction_bland_optimize(
+    tableau: list[list[Fraction]], basis: list[int], n_cols: int
+) -> tuple[LPStatus, int]:
+    m = len(tableau) - 1
+    pivots = 0
+    while True:
+        entering = -1
+        for j in range(n_cols):
+            if tableau[0][j] < 0:
+                entering = j
+                break
+        if entering < 0:
+            return LPStatus.OPTIMAL, pivots
+        leaving = -1
+        best_ratio: Fraction | None = None
+        for i in range(1, m + 1):
+            coeff = tableau[i][entering]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i - 1] < basis[leaving - 1])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            return LPStatus.UNBOUNDED, pivots
+        _fraction_pivot(tableau, leaving, entering)
+        basis[leaving - 1] = entering
+        pivots += 1
+
+
+def _fraction_rebuild_cost_row(
+    tableau: list[list[Fraction]], basis: list[int], costs: list[Fraction], n_cols: int
+) -> None:
+    zero = Fraction(0)
+    row0 = [-c for c in costs] + [zero] * (n_cols - len(costs)) + [zero]
+    for i, var in enumerate(basis, start=1):
+        cb = costs[var] if var < len(costs) else zero
+        if cb != 0:
+            row0 = [a + cb * b for a, b in zip(row0, tableau[i])]
+    tableau[0] = row0
+
+
+def fraction_simplex_solve(lp: LinearProgram) -> LPSolution:
+    """The two-phase Bland's-rule simplex over a `Fraction` tableau.
+
+    Same standard-form rewrite, phases, drive-out and redundant-row dropping
+    as `simplex_solve`; pivots are counted the same way (drive-out pivots in
+    phase 1).
+    """
+    zero = Fraction(0)
+    n = len(lp.objective)
+    bounds = lp.bounds()
+    col_of: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    shift: list[Fraction] = []
+    n_std = 0
+    for j, lb in enumerate(bounds):
+        if lb is None:
+            col_of[j] = [(n_std, 1), (n_std + 1, -1)]
+            shift.append(zero)
+            n_std += 2
+        else:
+            col_of[j] = [(n_std, 1)]
+            shift.append(lb)
+            n_std += 1
+
+    def expand(row) -> tuple[list[Fraction], Fraction]:
+        out = [zero] * n_std
+        offset = zero
+        for j, coeff in enumerate(row):
+            if coeff == 0:
+                continue
+            for column, sign in col_of[j]:
+                out[column] += sign * coeff
+            offset += coeff * shift[j]
+        return out, offset
+
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    n_slacks = len(lp.a_ge)
+    for row, b in zip(lp.a_eq, lp.b_eq):
+        expanded, offset = expand(row)
+        rows.append(expanded + [zero] * n_slacks)
+        rhs.append(b - offset)
+    for k, (row, b) in enumerate(zip(lp.a_ge, lp.b_ge)):
+        expanded, offset = expand(row)
+        slack = [zero] * n_slacks
+        slack[k] = Fraction(-1)
+        rows.append(expanded + slack)
+        rhs.append(b - offset)
+
+    n_real = n_std + n_slacks
+    m = len(rows)
+    objective_std = [zero] * n_real
+    expanded_obj, _ = expand(lp.objective)
+    objective_std[:n_std] = expanded_obj
+
+    if m == 0:
+        for j, c in enumerate(lp.objective):
+            if c != 0 and bounds[j] is None:
+                return LPSolution(LPStatus.UNBOUNDED)
+            if c > 0:
+                return LPSolution(LPStatus.UNBOUNDED)
+        values = tuple(b if b is not None else zero for b in bounds)
+        value = sum((c * v for c, v in zip(lp.objective, values)), zero)
+        return LPSolution(LPStatus.OPTIMAL, values, value)
+
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+    n_total = n_real + m
+    tableau: list[list[Fraction]] = [[zero] * (n_total + 1)]
+    basis: list[int] = []
+    for i in range(m):
+        art = [zero] * m
+        art[i] = Fraction(1)
+        tableau.append(rows[i] + art + [rhs[i]])
+        basis.append(n_real + i)
+    phase1_costs = [zero] * n_real + [Fraction(-1)] * m
+    _fraction_rebuild_cost_row(tableau, basis, phase1_costs, n_total)
+    status, phase1_pivots = _fraction_bland_optimize(tableau, basis, n_total)
+    assert status is LPStatus.OPTIMAL
+    if tableau[0][-1] != 0:
+        return LPSolution(LPStatus.INFEASIBLE, pivots=(phase1_pivots, 0))
+
+    drop_rows: list[int] = []
+    for i in range(m):
+        if basis[i] >= n_real:
+            pivot_col = next(
+                (j for j in range(n_real) if tableau[i + 1][j] != 0), None
+            )
+            if pivot_col is None:
+                drop_rows.append(i + 1)
+            else:
+                _fraction_pivot(tableau, i + 1, pivot_col)
+                basis[i] = pivot_col
+                phase1_pivots += 1
+    for i in sorted(drop_rows, reverse=True):
+        del tableau[i]
+        del basis[i - 1]
+
+    tableau = [row[:n_real] + [row[-1]] for row in tableau]
+    _fraction_rebuild_cost_row(tableau, basis, objective_std, n_real)
+    status, phase2_pivots = _fraction_bland_optimize(tableau, basis, n_real)
+    pivots = (phase1_pivots, phase2_pivots)
+    if status is LPStatus.UNBOUNDED:
+        return LPSolution(LPStatus.UNBOUNDED, pivots=pivots)
+
+    std_values = [zero] * n_real
+    for var, row in zip(basis, tableau[1:]):
+        std_values[var] = row[-1]
+    values = []
+    for j in range(n):
+        total = sum(
+            (Fraction(sign) * std_values[column] for column, sign in col_of[j]), zero
+        )
+        values.append(total + shift[j])
+    objective_value = sum((c * v for c, v in zip(lp.objective, values)), zero)
+    return LPSolution(LPStatus.OPTIMAL, tuple(values), objective_value, pivots)
+
+
+def fraction_grid_audit_player3(game3: ThreePlayerGame, resolution: int) -> Fraction:
+    """Player 3's grid audit with every total a `Fraction` (no budget check)."""
+    n, _, k = game3.strategy_counts
+    grid = list(_grid_points(n, resolution))
+    res = Fraction(resolution)
+    worst: Fraction | None = None
+    for q2 in grid:
+        contracted: list[list[Fraction]] = []
+        for t in range(k):
+            row_values = []
+            for r in range(1, n + 1):
+                total = Fraction(0)
+                for s in range(1, n + 1):
+                    if q2[s - 1]:
+                        total += Fraction(q2[s - 1]) * game3.payoff3(r, s, t)
+                row_values.append(total / res)
+            contracted.append(row_values)
+        for q1 in grid:
+            best: Fraction | None = None
+            for t in range(k):
+                row_values = contracted[t]
+                total = Fraction(0)
+                for r in range(n):
+                    if q1[r]:
+                        total += Fraction(q1[r]) * row_values[r]
+                total /= res
+                if best is None or total > best:
+                    best = total
+            assert best is not None
+            if worst is None or best < worst:
+                worst = best
+    assert worst is not None
+    return worst

@@ -309,3 +309,39 @@ def test_three_player_game_json_is_stable() -> None:
     game3 = reduce_graph(CYCLE4)
     assert game3.to_json() == reduce_graph(CYCLE4).to_json()
     assert '"strategy_counts":[4,4,9]' in game3.to_json()
+
+
+def _random_graph(rng, n: int) -> Graph:
+    edges = tuple(
+        (u, v) for u, v in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.5
+    )
+    return Graph(n, edges)
+
+
+def test_grid_audit_matches_fraction_reference() -> None:
+    """The integer sweep returns exactly the Fraction sweep's worst case."""
+    import random
+
+    from conftest import fraction_grid_audit_player3
+    from repstack import ThreePlayerGame
+
+    rng = random.Random(8000)
+    cases = [
+        (reduce_graph(_random_graph(rng, n)), resolution)
+        for n, resolutions in ((3, (1, 2, 3, 5)), (4, (1, 2, 4)), (5, (1, 2, 3)), (6, (1, 2)))
+        for resolution in resolutions
+        for _ in range(2)
+    ]
+    # Arbitrary rationals and ints in mu3, not only the reduction's 0, 1, n/(n-2).
+    n, k = 3, 4
+    entry = lambda: rng.choice([rng.randint(-2, 2), F(rng.randint(-50, 50), rng.randint(1, 13))])
+    mu3 = tuple(
+        tuple(tuple(entry() for _ in range(k)) for _ in range(n)) for _ in range(n)
+    )
+    zeros = tuple(tuple(tuple(F(0) for _ in range(k)) for _ in range(n)) for _ in range(n))
+    arbitrary = ThreePlayerGame(Graph(n, ()), zeros, zeros, mu3)
+    cases += [(arbitrary, resolution) for resolution in (1, 2, 3, 4, 6)]
+    for game3, resolution in cases:
+        assert grid_audit_player3(game3, resolution) == fraction_grid_audit_player3(
+            game3, resolution
+        )

@@ -347,3 +347,173 @@ def test_stackelberg_lp_carries_its_threat(seed: int) -> None:
     solution = stackelberg_lp(game)
     assert solution.threat == threat(game)
     assert solution.threat_value == solution.threat.value
+
+
+def _random_number(rng: random.Random) -> int | Fraction:
+    if rng.random() < 0.3:
+        return rng.randint(-3, 3)
+    return F(rng.randint(-6, 6), rng.randint(1, 6))
+
+
+def _random_program(rng: random.Random) -> LinearProgram:
+    """A small general program: free and shifted variables, equalities that
+    may repeat (redundant rows), and any of the three outcomes."""
+    n = rng.randint(1, 5)
+    row = lambda: tuple(_random_number(rng) for _ in range(n))
+    a_eq = [row() for _ in range(rng.randint(0, 2))]
+    b_eq = [_random_number(rng) for _ in a_eq]
+    if a_eq and rng.random() < 0.3:
+        factor = rng.choice([F(-2), F(1), F(1, 3)])
+        a_eq.append(tuple(factor * v for v in a_eq[0]))
+        b_eq.append(factor * b_eq[0])
+    a_ge = [row() for _ in range(rng.randint(0, 4))]
+    b_ge = [_random_number(rng) for _ in a_ge]
+    if rng.random() < 0.5:  # an upper bound of 3 on every variable
+        a_ge += [tuple(-1 if k == j else 0 for k in range(n)) for j in range(n)]
+        b_ge += [-3] * n
+    lower = None
+    if rng.random() < 0.7:
+        lower = tuple(rng.choice([None, 0, _random_number(rng)]) for _ in range(n))
+    return LinearProgram(row(), tuple(a_eq), tuple(b_eq), tuple(a_ge), tuple(b_ge), lower)
+
+
+def _granular_game(rng: random.Random, rows: int, cols: int, granularity: int, zero_sum: bool):
+    entry = lambda: F(rng.randint(-granularity, granularity), granularity)
+    m1 = [[entry() for _ in range(cols)] for _ in range(rows)]
+    m2 = [[-v for v in r] for r in m1] if zero_sum else [[entry() for _ in range(cols)] for _ in range(rows)]
+    return validate_game(m1, m2)
+
+
+# The literal programs of the tests above, captured as they call the solver.
+LITERAL_PROGRAM_TESTS = (
+    test_simplex_single_variable_bound,
+    test_simplex_infeasible,
+    test_simplex_unbounded,
+    lambda: test_simplex_pd_commitment_lp_objective(None),
+    test_simplex_free_variable,
+    test_simplex_degenerate_cycling_program_terminates,
+    test_simplex_kuhn_cycling_program_terminates,
+    test_simplex_degenerate_redundant_rows,
+)
+
+
+def _recorded_programs(monkeypatch, run) -> list[LinearProgram]:
+    """Every program `run()` hands to the solver, through the package or this module."""
+    from repstack import lp
+
+    programs: list[LinearProgram] = []
+    solve = lp.simplex_solve
+
+    def recording(program: LinearProgram):
+        programs.append(program)
+        return solve(program)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "simplex_solve", recording)
+        patch.setitem(globals(), "simplex_solve", recording)
+        run()
+    return programs
+
+
+def _game_programs() -> None:
+    rng = random.Random(5000)
+    for granularity in (1, 2, 6, 60):
+        for zero_sum in (False, True):
+            for _ in range(6):
+                game = _granular_game(rng, rng.randint(1, 4), rng.randint(1, 4), granularity, zero_sum)
+                threat(game)
+                stackelberg_lp(game)
+                game_value(game)
+                _threat_dual_value(game)
+
+
+@pytest.mark.parametrize("source", ["literal", "random", "games"])
+def test_simplex_matches_fraction_reference(source: str, monkeypatch) -> None:
+    """Same status, vertex, objective and pivot counts as the Fraction tableau."""
+    from conftest import fraction_simplex_solve
+
+    if source == "literal":
+        programs = _recorded_programs(monkeypatch, lambda: [t() for t in LITERAL_PROGRAM_TESTS])
+        assert len(programs) == len(LITERAL_PROGRAM_TESTS)
+    elif source == "random":
+        rng = random.Random(6000)
+        programs = [_random_program(rng) for _ in range(400)]
+    else:
+        programs = _recorded_programs(monkeypatch, _game_programs)
+        # threat; threat and commitment; game value; the dual: 5 per game
+        assert len(programs) == 4 * 2 * 6 * 5
+    statuses = set()
+    for program in programs:
+        solution = simplex_solve(program)
+        assert solution == fraction_simplex_solve(program), program
+        assert all(type(v) is Fraction for v in solution.values or ())
+        statuses.add(solution.status)
+    if source == "random":
+        assert statuses == set(LPStatus)
+
+
+@pytest.mark.parametrize(
+    "value", [0.5, True, 1.0], ids=["float", "bool", "integral-float"]
+)
+@pytest.mark.parametrize("field", ["objective", "a_eq", "b_eq", "a_ge", "b_ge", "lower_bounds"])
+def test_linear_program_rejects_non_rational_data(field: str, value) -> None:
+    """No float path: LinearProgram((0.5,), a_ge=((-1.0,),), b_ge=(-0.3,))
+    used to run a float simplex and return x = 0.3."""
+    from repstack import InputError
+
+    data = {
+        "objective": (F(1, 2),),
+        "a_eq": ((F(1),),),
+        "b_eq": (F(1, 5),),
+        "a_ge": ((F(-1),),),
+        "b_ge": (F(-3, 10),),
+        "lower_bounds": (F(0),),
+    }
+    LinearProgram(**data)
+    data[field] = ((value,),) if field.startswith("a_") else (value,)
+    with pytest.raises(InputError):
+        LinearProgram(**data)
+
+
+def test_linear_program_accepts_ints() -> None:
+    solution = simplex_solve(LinearProgram((1, 1), a_ge=((-1, -2),), b_ge=(-4,), lower_bounds=(1, None)))
+    assert solution.status is LPStatus.UNBOUNDED
+    solution = simplex_solve(LinearProgram((2,), a_ge=((-1,),), b_ge=(-3,), lower_bounds=(1,)))
+    assert solution.values == (F(3),) and solution.objective_value == F(6)
+    assert all(type(v) is Fraction for v in solution.values)
+    solution = simplex_solve(LinearProgram((-1,), lower_bounds=(2,)))  # no constraints
+    assert solution.values == (F(2),) and type(solution.values[0]) is Fraction
+
+
+def test_simplex_reports_pivots_per_phase() -> None:
+    # maximize -x subject to x <= 1: phase 1 brings x (the lowest column)
+    # into the basis at x = 1, phase 2 swaps it for the slack.
+    lp = LinearProgram(objective=(F(-1),), a_ge=((F(-1),),), b_ge=(F(-1),))
+    solution = simplex_solve(lp)
+    assert solution.values == (F(0),) and solution.pivots == (1, 1)
+    # -x + y = 0 and x - y = 0: the artificials' reduced costs cancel, so
+    # phase 1 is optimal at once; the drive-out pivots on the -1 of the first
+    # row (counted in phase 1) and drops the second row as redundant.
+    lp = LinearProgram(
+        objective=(F(-1), F(-1)), a_eq=((F(-1), F(1)), (F(1), F(-1))), b_eq=(F(0), F(0))
+    )
+    solution = simplex_solve(lp)
+    assert solution.values == (F(0), F(0)) and solution.pivots == (1, 0)
+    # No constraints: no tableau, no pivots.
+    assert simplex_solve(LinearProgram(objective=(F(-1),))).pivots == (0, 0)
+
+
+def test_threat_30x30_within_three_seconds() -> None:
+    import time
+
+    rng = random.Random(7000)
+    game = _granular_game(rng, 30, 30, 60, zero_sum=False)
+    start = time.perf_counter()
+    result = threat(game)  # raises unless max_j x.M2 e_j == value exactly
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3.0, f"30x30 threat took {elapsed:.2f} s"
+    assert sum(result.strategy.weights) == 1
+    assert max(
+        sum(w * game.m2[i][j] for i, w in enumerate(result.strategy.weights))
+        for j in range(30)
+    ) == result.value
