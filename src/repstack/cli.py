@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -44,11 +45,20 @@ def _load_graph(path: str) -> hardness.Graph:
 
 
 def _emit(args: argparse.Namespace, payload: dict, table_lines: list[str]) -> None:
-    if args.json:
-        print(core.stable_json(payload))
-    else:
-        for line in table_lines:
-            print(line)
+    try:
+        if args.json:
+            print(core.stable_json(payload))
+        else:
+            for line in table_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`repstack ... | head`).  Point stdout
+        # at devnull so the flush at exit cannot fail again; the command keeps
+        # its exit code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _strategy_text(strategy: core.MixedStrategy) -> str:

@@ -119,7 +119,13 @@ class MixedStrategy:
         return self.weights[action - 1]
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.weights, start=1) if w > 0)
+        """The actions of positive weight, computed on the first call."""
+        support = self.__dict__.get("_support")
+        if support is None:
+            support = tuple(i for i, w in enumerate(self.weights, start=1) if w > 0)
+            # A cache, not a field: equality, hashing and repr ignore it.
+            self.__dict__["_support"] = support
+        return support
 
     def is_pure(self) -> bool:
         return any(w == 1 for w in self.weights)

@@ -22,6 +22,8 @@ Two constructions build prescribed-sequence automata from the commitment LP:
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -36,7 +38,6 @@ from .core import (
     MixedStrategy,
     Transcript,
     format_rational,
-    pair_order_key,
     pair_ordering,
     parse_integer,
     parse_pair,
@@ -258,6 +259,13 @@ def sample_prescription(
     leader, then lexicographic) is replaced by the follower's best pair.
     The repaired block is sorted by ascending follower payoff and one final
     reward round is appended.  Fully determined by (game, horizon, seed).
+
+    Every output depends only on how often each pair was drawn, so the
+    sampler keeps one count per pair.  Draw k is the integer u = u64(k);
+    with the LP weights over their common denominator N and cumulative
+    numerators C_i, the draw u/2^64 falls below C_i/N exactly when u is
+    below ceil(C_i * 2^64 / N), so a bisection over those integer thresholds
+    picks the pair (equal thresholds skip zero-weight pairs).
     """
     if horizon < 2:
         raise HorizonTooShort(horizon, 2)
@@ -274,35 +282,52 @@ def sample_prescription(
         return SampledConstruction(gpa, block, block, 0)
 
     all_pairs = list(game.pairs())
-    weights = MixedStrategy(tuple(solution.alpha[p] for p in all_pairs))
-    rng = CounterRng(seed, _STREAM_SAMPLES)
-    draws = [
-        all_pairs[weights.sample_index(rng.unit_fraction(k)) - 1]
-        for k in range(1, horizon)
+    weights = [solution.alpha[p] for p in all_pairs]
+    denominator = math.lcm(*(w.denominator for w in weights))
+    thresholds = [
+        -(-(cumulative << 64) // denominator)
+        for cumulative in itertools.accumulate(int(w * denominator) for w in weights)
     ]
+    draw = CounterRng(seed, _STREAM_SAMPLES).u64
+    drawn = [0] * len(all_pairs)
+    for k in range(1, horizon):
+        drawn[bisect.bisect_right(thresholds, draw(k))] += 1
+    counts = dict(zip(all_pairs, drawn))
 
-    ascending = lambda p: (game.follower_payoff(p), game.leader_payoff(p), p.row, p.col)
-    canonical = pair_order_key(game)
-    pre_swap = tuple(sorted(draws, key=canonical))
-
-    block_len = horizon - 1
-    required = threat_result.value * block_len
-    follower_sum = sum((game.follower_payoff(p) for p in draws), Fraction(0))
-    repaired = sorted(draws, key=ascending)
+    # Swap drawn pairs for the reward pair, worst for the follower first (ties:
+    # worst for the leader), until the follower total reaches V * (T - 1).
+    # Each pair swapped before the deficit closes gains the follower a
+    # positive amount: once every pair below follower_max is swapped, the
+    # total is follower_max * (T - 1) >= V * (T - 1).
+    deficit = threat_result.value * (horizon - 1) - sum(
+        (game.follower_payoff(p) * c for p, c in counts.items()), Fraction(0)
+    )
     swaps = 0
-    position = 0
-    while follower_sum < required:
-        while repaired[position] == reward_pair:
-            position += 1
-        follower_sum += follower_max - game.follower_payoff(repaired[position])
-        repaired[position] = reward_pair
-        position += 1
-        swaps += 1
+    repaired = dict(counts)
+    ascending = lambda p: (game.follower_payoff(p), game.leader_payoff(p), p.row, p.col)
+    for pair in sorted(all_pairs, key=ascending):
+        if deficit <= 0:
+            break
+        if pair == reward_pair:
+            continue
+        gain = follower_max - game.follower_payoff(pair)
+        taken = min(counts[pair], math.ceil(deficit / gain))
+        repaired[pair] -= taken
+        swaps += taken
+        deficit -= taken * gain
+    repaired[reward_pair] += swaps
 
-    post_swap = tuple(sorted(repaired, key=canonical))
+    canonical = pair_ordering(game)
+    pre_swap = _expand(canonical, counts)
+    post_swap = _expand(canonical, repaired)
     script = post_swap + (reward_pair,)
     gpa = PrescribedSequenceGPA(game, script, threat_result.strategy)
     return SampledConstruction(gpa, pre_swap, post_swap, swaps)
+
+
+def _expand(order: Sequence[ActionPair], counts: Mapping[ActionPair, int]) -> tuple[ActionPair, ...]:
+    """The block holding counts[pair] copies of each pair, in the given order."""
+    return tuple(itertools.chain.from_iterable(itertools.repeat(p, counts[p]) for p in order))
 
 
 def build_sampled_gpa(

@@ -12,12 +12,15 @@ than truncating.
 `verify_prescription` is the linear-time check that obeying a prescribed
 sequence is optimal: at every round the scripted suffix must be worth at
 least one round of the follower's global best payoff plus threat-capped
-payoffs thereafter.  The check is sound but conservative; `best_response`
-is the complete fallback.
+payoffs thereafter.  It runs as one backward pass over payoffs scaled to
+integers.  The check is sound but conservative; `best_response` is the
+complete fallback.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -231,21 +234,28 @@ def verify_prescription(
         raise InputError(
             f"horizon {horizon} does not match prescription length {gpa.horizon}"
         )
-    rounds = gpa.horizon
     _, follower_best = max_follower_pair(game)
     threat_cap = max(
         gpa.threat_strategy.expected([game.m2[i][j] for i in range(game.rows)])
         for j in range(game.cols)
     )
-    suffix = Fraction(0)
-    suffix_values: list[Fraction] = [Fraction(0)] * rounds
-    for t in range(rounds, 0, -1):
-        suffix += game.follower_payoff(gpa.prescription[t - 1])
-        suffix_values[t - 1] = suffix
-    for t in range(1, rounds + 1):
-        if suffix_values[t - 1] < follower_best + threat_cap * (rounds - t):
-            return DeviationProfitableAt(t)
-    return Obeys()
+    # Round t fails when its suffix S_t falls below m + cap * (T - t).  Going
+    # back one round adds the round's payoff to S_t and one cap to the bound,
+    # so the running margin S_t - cap * (T - t) grows by (payoff - cap).  All
+    # of it is scaled to integers once.
+    scale = math.lcm(game.granularity, threat_cap.denominator)
+    cap = int(threat_cap * scale)
+    step = [[int(v * scale) - cap for v in row] for row in game.m2]
+    best = int(follower_best * scale)
+    margin = cap
+    first_failure = None
+    for t, pair in zip(range(gpa.horizon, 0, -1), reversed(gpa.prescription)):
+        margin += step[pair.row - 1][pair.col - 1]
+        if margin < best:
+            first_failure = t
+    if first_failure is None:
+        return Obeys()
+    return DeviationProfitableAt(first_failure)
 
 
 def simulate(
@@ -325,20 +335,18 @@ def external_regret(transcript: Transcript, game: BimatrixGame, side: str) -> Re
         raise InputError('side must be "leader" or "follower"')
     if len(transcript) == 0:
         raise EmptyTranscript("regret needs a nonempty transcript")
+    # matrix[own - 1][opponent - 1] is the side's payoff; the totals need only
+    # how often each (own, opponent) action pair and opponent action occurred.
+    rows = [p.row for p in transcript.pairs]
+    cols = [p.col for p in transcript.pairs]
     if side == "leader":
-        realized = sum((game.leader_payoff(p) for p in transcript.pairs), Fraction(0))
-        n_actions = game.rows
-        fixed = [
-            sum((game.m1[a - 1][p.col - 1] for p in transcript.pairs), Fraction(0))
-            for a in range(1, n_actions + 1)
-        ]
+        matrix, n_actions = game.m1, game.rows
+        played, opponent = Counter(zip(rows, cols)), Counter(cols)
     else:
-        realized = sum((game.follower_payoff(p) for p in transcript.pairs), Fraction(0))
-        n_actions = game.cols
-        fixed = [
-            sum((game.m2[p.row - 1][a - 1] for p in transcript.pairs), Fraction(0))
-            for a in range(1, n_actions + 1)
-        ]
+        matrix, n_actions = tuple(zip(*game.m2)), game.cols
+        played, opponent = Counter(zip(cols, rows)), Counter(rows)
+    realized = sum((matrix[a - 1][b - 1] * c for (a, b), c in played.items()), Fraction(0))
+    fixed = [sum((row[b - 1] * c for b, c in opponent.items()), Fraction(0)) for row in matrix]
     best_action = max(range(1, n_actions + 1), key=lambda a: (fixed[a - 1], -a))
     best_total = fixed[best_action - 1]
     return RegretReport(best_total - realized, best_action, realized)

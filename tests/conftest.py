@@ -9,7 +9,10 @@ the reference that the state-based oracle must match exactly.  Likewise
 `fraction_simplex_solve` and `fraction_grid_audit_player3` are the solvers as
 they were before they ran on integers: every tableau entry and grid total a
 `Fraction`.  The integer kernels must match them exactly, pivot counts
-included.
+included.  `fraction_sample_prescription` and `fraction_verify_prescription`
+are the sampled construction and the prescription check as they were before
+they ran on per-pair counts and integers: a `Fraction` CDF walk per draw,
+`Fraction`-keyed sorts, and a `Fraction` suffix array.
 """
 
 from __future__ import annotations
@@ -22,10 +25,20 @@ from fractions import Fraction
 import pytest
 
 from repstack import ActionPair, BimatrixGame, Transcript, format_rational, validate_game
-from repstack.core import stable_json
-from repstack.gpa import GamePlayingAlgorithm, History, history_key
+from repstack._rng import CounterRng
+from repstack.core import InputError, MixedStrategy, pair_order_key, stable_json
+from repstack.gpa import (
+    _STREAM_SAMPLES,
+    GamePlayingAlgorithm,
+    History,
+    HorizonTooShort,
+    PrescribedSequenceGPA,
+    SampledConstruction,
+    history_key,
+)
 from repstack.hardness import ThreePlayerGame, _grid_points
-from repstack.lp import LinearProgram, LPSolution, LPStatus
+from repstack.lp import LinearProgram, LPSolution, LPStatus, max_follower_pair, stackelberg_lp
+from repstack.oracle import DeviationProfitableAt, Obeys
 
 
 @pytest.fixture
@@ -455,3 +468,77 @@ def fraction_grid_audit_player3(game3: ThreePlayerGame, resolution: int) -> Frac
                 worst = best
     assert worst is not None
     return worst
+
+
+def fraction_sample_prescription(
+    game: BimatrixGame, horizon: int, seed: int
+) -> SampledConstruction:
+    """The sampled construction with a `Fraction` CDF walk per draw and
+    `Fraction`-keyed sorts of the whole block."""
+    if horizon < 2:
+        raise HorizonTooShort(horizon, 2)
+    solution = stackelberg_lp(game)
+    threat_result = solution.threat
+    reward_pair, follower_max = max_follower_pair(game)
+
+    if follower_max == threat_result.value:
+        script = tuple([reward_pair] * horizon)
+        gpa = PrescribedSequenceGPA(game, script, threat_result.strategy)
+        block = tuple([reward_pair] * (horizon - 1))
+        return SampledConstruction(gpa, block, block, 0)
+
+    all_pairs = list(game.pairs())
+    weights = MixedStrategy(tuple(solution.alpha[p] for p in all_pairs))
+    rng = CounterRng(seed, _STREAM_SAMPLES)
+    draws = [
+        all_pairs[weights.sample_index(rng.unit_fraction(k)) - 1]
+        for k in range(1, horizon)
+    ]
+
+    ascending = lambda p: (game.follower_payoff(p), game.leader_payoff(p), p.row, p.col)
+    canonical = pair_order_key(game)
+    pre_swap = tuple(sorted(draws, key=canonical))
+
+    block_len = horizon - 1
+    required = threat_result.value * block_len
+    follower_sum = sum((game.follower_payoff(p) for p in draws), Fraction(0))
+    repaired = sorted(draws, key=ascending)
+    swaps = 0
+    position = 0
+    while follower_sum < required:
+        while repaired[position] == reward_pair:
+            position += 1
+        follower_sum += follower_max - game.follower_payoff(repaired[position])
+        repaired[position] = reward_pair
+        position += 1
+        swaps += 1
+
+    post_swap = tuple(sorted(repaired, key=canonical))
+    script = post_swap + (reward_pair,)
+    gpa = PrescribedSequenceGPA(game, script, threat_result.strategy)
+    return SampledConstruction(gpa, pre_swap, post_swap, swaps)
+
+
+def fraction_verify_prescription(
+    gpa: PrescribedSequenceGPA, game: BimatrixGame, horizon: int | None = None
+) -> Obeys | DeviationProfitableAt:
+    """The prescription check over a `Fraction` suffix array of all T rounds."""
+    if horizon is not None and horizon != gpa.horizon:
+        raise InputError(
+            f"horizon {horizon} does not match prescription length {gpa.horizon}"
+        )
+    rounds = gpa.horizon
+    _, follower_best = max_follower_pair(game)
+    threat_cap = max(
+        gpa.threat_strategy.expected([game.m2[i][j] for i in range(game.rows)])
+        for j in range(game.cols)
+    )
+    suffix = Fraction(0)
+    suffix_values: list[Fraction] = [Fraction(0)] * rounds
+    for t in range(rounds, 0, -1):
+        suffix += game.follower_payoff(gpa.prescription[t - 1])
+        suffix_values[t - 1] = suffix
+    for t in range(1, rounds + 1):
+        if suffix_values[t - 1] < follower_best + threat_cap * (rounds - t):
+            return DeviationProfitableAt(t)
+    return Obeys()

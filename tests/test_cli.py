@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repstack
 from repstack.cli import main
 
 PD = '{"M1": [["3/5", "0"], ["1", "1/5"]], "M2": [["3/5", "1"], ["0", "1/5"]]}'
@@ -276,3 +280,22 @@ def test_json_and_table_agree(pd_file, capsys) -> None:
 def test_missing_file_is_input_error(capsys) -> None:
     code = main(["threat", "/nonexistent/game.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_closed_stdout_exits_quietly(pd_file, flags) -> None:
+    """`repstack build ... | head -c 10`: the reader leaves after 10 bytes of
+    a 1.2 MB report, and the command ends with its own exit code, no traceback."""
+    env = dict(os.environ)
+    package_root = str(Path(repstack.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "repstack.cli", "build", pd_file, "-T", "200000", *flags]
+    process = subprocess.Popen(
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    head = process.stdout.read(10)
+    process.stdout.close()
+    _, err = process.communicate(timeout=60)
+    assert len(head) == 10
+    assert b"Traceback" not in err, err.decode()
+    assert process.returncode == 0
