@@ -22,10 +22,16 @@ class CounterRng:
     seed: int
     stream: int = 0
 
+    def __post_init__(self) -> None:
+        # Hash the fixed "seed:stream:" prefix once; each draw copies it.  Not
+        # a field: equality, hashing and repr ignore it.
+        prefix = hashlib.blake2b(f"{self.seed}:{self.stream}:".encode(), digest_size=8)
+        object.__setattr__(self, "_prefix", prefix)
+
     def u64(self, counter: int) -> int:
-        payload = f"{self.seed}:{self.stream}:{counter}".encode()
-        digest = hashlib.blake2b(payload, digest_size=8).digest()
-        return int.from_bytes(digest, "big")
+        digest = self._prefix.copy()
+        digest.update(str(counter).encode())
+        return int.from_bytes(digest.digest(), "big")
 
     def unit_fraction(self, counter: int) -> Fraction:
         """An exact rational uniform on {0, 1/2^64, ..., (2^64-1)/2^64}."""

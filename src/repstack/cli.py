@@ -96,7 +96,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     lines = [f"OPT_LP = {format_rational(solution.value)}"]
     lines.extend(
         f"alpha({p.row},{p.col}) = {format_rational(w)}"
-        for p, w in sorted(solution.alpha.items(), key=lambda kv: (kv[0].row, kv[0].col))
+        for p, w in solution.alpha.items()
         if w > 0
     )
     _emit(args, payload, lines)

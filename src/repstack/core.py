@@ -8,6 +8,7 @@ threads; the operations are pure functions.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -101,7 +102,9 @@ class MixedStrategy:
             raise InputError("mixed strategy weights must sum to exactly 1")
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def pure(action: int, n_actions: int) -> MixedStrategy:
+        """The pure strategy on `action`; one shared instance per argument pair."""
         if not 1 <= action <= n_actions:
             raise InputError(f"action {action} out of range 1..{n_actions}")
         return MixedStrategy(

@@ -81,11 +81,12 @@ class ExactStrategyUnavailable(RuntimeError):
 class GamePlayingAlgorithm:
     """Base class: one player's algorithm for a finite-horizon repeated game.
 
-    Subclasses either implement `strategy_at` together with `initial_state`
-    and `step` (an automaton), or implement `round_strategy` and keep the
-    default history-as-state automaton: state () and `state + (pair,)`.
-    Output may depend only on the state (plus construction-time randomness
-    already baked into the instance).  `n_actions` is the size of the owning
+    Every subclass implements `strategy_at`, the one per-round method.  It
+    overrides `initial_state` and `step` when a state more compact than the
+    history will do, and otherwise keeps the default history-as-state
+    automaton: state () and `state + (pair,)`.  Output may depend only on
+    the round and the state (plus construction-time randomness already baked
+    into the instance).  `n_actions` is the size of the owning
     player's action set.
 
     Attributes:
@@ -114,7 +115,7 @@ class GamePlayingAlgorithm:
 
     def strategy_at(self, t: int, state: State) -> MixedStrategy:
         """The mixed strategy after t rounds that led to `state`."""
-        return self.round_strategy(state)
+        raise NotImplementedError(f"{type(self).__name__} defines no strategy_at")
 
     def probabilities_at(self, t: int, state: State) -> list[float]:
         """Float view of `strategy_at` (simulation only)."""
@@ -132,11 +133,6 @@ class GamePlayingAlgorithm:
     def round_probabilities(self, history: History) -> list[float]:
         """Float view of the current conditional strategy (simulation only)."""
         return self.probabilities_at(len(history), self._state_after(history))
-
-
-def _pure_strategies(n_actions: int) -> tuple[MixedStrategy, ...]:
-    """Every pure strategy of a player, indexed by action - 1."""
-    return tuple(MixedStrategy.pure(a, n_actions) for a in range(1, n_actions + 1))
 
 
 class PrescribedSequenceGPA(GamePlayingAlgorithm):
@@ -167,7 +163,6 @@ class PrescribedSequenceGPA(GamePlayingAlgorithm):
         self.prescription = tuple(prescription)
         self.threat_strategy = threat_strategy
         self.randomness = "none" if threat_strategy.is_pure() else "per_round"
-        self._pure = _pure_strategies(game.rows)
 
     @property
     def horizon(self) -> int:
@@ -187,7 +182,7 @@ class PrescribedSequenceGPA(GamePlayingAlgorithm):
             raise InputError("history extends beyond the horizon")
         if state[1]:
             return self.threat_strategy
-        return self._pure[self.prescription[t].row - 1]
+        return MixedStrategy.pure(self.prescription[t].row, self.n_actions)
 
     def obedient_transcript(self) -> Transcript:
         """The transcript realized when the follower obeys every round."""
@@ -255,8 +250,8 @@ def sample_prescription(
     """Draw T-1 pairs i.i.d. from the LP distribution and repair them.
 
     While the sampled follower average falls below the threat value, the
-    sampled pair currently worst for the follower (ties: worst for the
-    leader, then lexicographic) is replaced by the follower's best pair.
+    sampled pair currently worst for the follower (first in `pair_ordering`)
+    is replaced by the follower's best pair.
     The repaired block is sorted by ascending follower payoff and one final
     reward round is appended.  Fully determined by (game, horizon, seed).
 
@@ -294,18 +289,20 @@ def sample_prescription(
         drawn[bisect.bisect_right(thresholds, draw(k))] += 1
     counts = dict(zip(all_pairs, drawn))
 
-    # Swap drawn pairs for the reward pair, worst for the follower first (ties:
-    # worst for the leader), until the follower total reaches V * (T - 1).
-    # Each pair swapped before the deficit closes gains the follower a
-    # positive amount: once every pair below follower_max is swapped, the
-    # total is follower_max * (T - 1) >= V * (T - 1).
+    # Swap drawn pairs for the reward pair in `pair_ordering`, worst for the
+    # follower first, until the follower total reaches V * (T - 1).  Each
+    # pair swapped before the deficit closes gains the follower a positive
+    # amount: once every pair below follower_max is swapped, the total is
+    # follower_max * (T - 1) >= V * (T - 1).  The leader tie-break never
+    # applies: alpha is a vertex of a two-row LP, so at most two pairs are
+    # drawn, and while a deficit remains their follower payoffs differ.
     deficit = threat_result.value * (horizon - 1) - sum(
         (game.follower_payoff(p) * c for p, c in counts.items()), Fraction(0)
     )
     swaps = 0
     repaired = dict(counts)
-    ascending = lambda p: (game.follower_payoff(p), game.leader_payoff(p), p.row, p.col)
-    for pair in sorted(all_pairs, key=ascending):
+    canonical = pair_ordering(game)
+    for pair in canonical:
         if deficit <= 0:
             break
         if pair == reward_pair:
@@ -317,7 +314,6 @@ def sample_prescription(
         deficit -= taken * gain
     repaired[reward_pair] += swaps
 
-    canonical = pair_ordering(game)
     pre_swap = _expand(canonical, counts)
     post_swap = _expand(canonical, repaired)
     script = post_swap + (reward_pair,)
@@ -460,7 +456,8 @@ def multiplicative_weights(
 
 
 class LookupTableGPA(GamePlayingAlgorithm):
-    """Deterministic strategy replayed from an explicit history table."""
+    """Deterministic strategy replayed from an explicit history table; its
+    state is the history."""
 
     kind = "lookup"
 
@@ -471,9 +468,9 @@ class LookupTableGPA(GamePlayingAlgorithm):
             if not 1 <= action <= n_actions:
                 raise InputError(f"table action {action} out of range")
 
-    def round_strategy(self, history: History) -> MixedStrategy:
+    def strategy_at(self, t: int, history: History) -> MixedStrategy:
         try:
-            action = self.table[tuple(history)]
+            action = self.table[history]
         except KeyError:
             raise MissingEntry(f"no table entry for history of length {len(history)}")
         return MixedStrategy.pure(action, self.n_actions)
@@ -484,7 +481,8 @@ def lookup_table_gpa(table: Mapping[History, int], n_actions: int) -> LookupTabl
 
 
 class ConstantGPA(GamePlayingAlgorithm):
-    """Play one fixed mixed strategy every round, independent of history."""
+    """Play one fixed mixed strategy every round, independent of history.
+    Its state is the history: a mixed one reaches exponentially many."""
 
     kind = "constant"
 
@@ -493,7 +491,7 @@ class ConstantGPA(GamePlayingAlgorithm):
         self.strategy = strategy
         self.randomness = "none" if strategy.is_pure() else "per_round"
 
-    def round_strategy(self, history: History) -> MixedStrategy:
+    def strategy_at(self, t: int, history: History) -> MixedStrategy:
         return self.strategy
 
 
@@ -512,7 +510,6 @@ class PrescriptionFollower(GamePlayingAlgorithm):
     def __init__(self, prescription: Sequence[ActionPair], n_actions: int):
         super().__init__(n_actions)
         self.prescription = tuple(prescription)
-        self._pure = _pure_strategies(n_actions)
 
     def initial_state(self) -> None:
         return None
@@ -523,7 +520,7 @@ class PrescriptionFollower(GamePlayingAlgorithm):
     def strategy_at(self, t: int, state: None) -> MixedStrategy:
         if t >= len(self.prescription):
             raise InputError("history extends beyond the prescription")
-        return self._pure[self.prescription[t].col - 1]
+        return MixedStrategy.pure(self.prescription[t].col, self.n_actions)
 
 
 def prescription_follower(

@@ -378,11 +378,10 @@ class ColoringLeaderGPA(GamePlayingAlgorithm):
                 return n
         return len(set(colors.values()))
 
-    def round_strategy(self, history: History) -> MixedStrategy:
-        t = len(history) + 1
-        if t > self.horizon:
+    def strategy_at(self, t: int, history: History) -> MixedStrategy:
+        if t >= self.horizon:
             raise InputError("history extends beyond the horizon")
-        if t < self.horizon:
+        if t < self.horizon - 1:
             return MixedStrategy.pure(1, self.n_actions)
         score = self.coloring_score(history)
         n = self.n_actions

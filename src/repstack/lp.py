@@ -245,18 +245,6 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
     expanded_obj, _ = expand(lp.objective)
     objective_std = expanded_obj + [ZERO] * n_slacks
 
-    if m == 0:
-        # No constraints: optimum is at the lower bounds unless some objective
-        # coefficient points upward, in which case the program is unbounded.
-        for j, c in enumerate(lp.objective):
-            if c != 0 and bounds[j] is None:
-                return LPSolution(LPStatus.UNBOUNDED)
-            if c > 0:
-                return LPSolution(LPStatus.UNBOUNDED)
-        values = tuple(Fraction(b) if b is not None else ZERO for b in bounds)
-        value = sum((c * v for c, v in zip(lp.objective, values)), ZERO)
-        return LPSolution(LPStatus.OPTIMAL, values, value)
-
     # One common scale for the whole constraint block.  Scaling rows
     # separately would change the signs of phase-1 reduced costs, and with
     # them Bland's choices; one scale keeps every sign and ratio order, since

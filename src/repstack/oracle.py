@@ -69,7 +69,8 @@ class BestResponseResult:
     `decisions[t]` maps each reachable leader state after t rounds to the
     follower's chosen column.  `follower_value` is the maximal expected total
     follower payoff; `leader_value` is the expected total leader payoff under
-    the leader-favorable tie-breaking among follower optima.
+    the leader-favorable tie-breaking among follower optima.  `leader` is the
+    strategy answered, and the horizon is `len(decisions)`.
     """
 
     follower_value: Fraction
@@ -184,19 +185,19 @@ def best_response(
     return BestResponseResult(follower_value, leader_value, tuple(decisions), leader)
 
 
-def on_path_transcript(
-    result: BestResponseResult, leader: GamePlayingAlgorithm, game: BimatrixGame, horizon: int
-) -> Transcript:
-    """Realized play when the follower uses the oracle policy.
+def on_path_transcript(result: BestResponseResult, game: BimatrixGame) -> Transcript:
+    """Realized play when the follower uses the oracle policy against the
+    result's own leader, over the result's horizon.
 
     Only defined for deterministic-given-history leaders, where play follows
     a single path.
     """
+    leader = result.leader
     if leader.randomness != "none":
         raise InputError("on-path transcript requires a deterministic leader")
     state = leader.initial_state()
     pairs = []
-    for t in range(horizon):
+    for t in range(len(result.decisions)):
         (row,) = leader.strategy_at(t, state).support()
         pair = ActionPair(row, result.decisions[t][state])
         pairs.append(pair)
@@ -367,12 +368,7 @@ def stackelberg_gap(
     return stackelberg_lp(game).value - result.leader_value / horizon
 
 
-def best_response_to_json(
-    result: BestResponseResult,
-    leader: GamePlayingAlgorithm,
-    game: BimatrixGame,
-    horizon: int,
-) -> str:
+def best_response_to_json(result: BestResponseResult) -> str:
     """Serialize values plus the on-path slice of the policy.
 
     On-path histories are those reachable when the follower plays the policy

@@ -137,7 +137,7 @@ def test_criterion_3_grim_trigger_separation() -> None:
         for horizon in (3, 5, 7):
             leader = grim_trigger(game, ActionPair(1, 1), punish_row=2)
             result = best_response(leader, game, horizon)
-            path = on_path_transcript(result, leader, game, horizon)
+            path = on_path_transcript(result, game)
             expected = [(1, 1)] * (horizon - 1) + [(1, 2)]
             assert [(p.row, p.col) for p in path.pairs] == expected
             assert result.leader_value == F(3 * (horizon - 1), 5)

@@ -141,11 +141,11 @@ def test_best_response_matches_history_prefix_reference(case: int) -> None:
             ), context
             on_path = history_prefix_on_path(reference, leader, horizon)
             assert result.follower_policy == on_path, context
-            assert best_response_to_json(result, leader, game, horizon) == (
+            assert best_response_to_json(result) == (
                 history_prefix_to_json(reference, leader, horizon)
             ), context
             if leader.randomness == "none":
-                assert on_path_transcript(result, leader, game, horizon) == (
+                assert on_path_transcript(result, game) == (
                     history_prefix_transcript(reference, leader, game, horizon)
                 ), context
             mixed_deviation |= leaves_script_under_mixed_threat(leader, on_path)
@@ -230,7 +230,7 @@ def test_best_response_long_horizon_pd() -> None:
     elapsed = time.perf_counter() - start
     _, follower_total = leader.obedient_transcript().total_payoffs()
     assert result.follower_value == follower_total
-    assert on_path_transcript(result, leader, PD, horizon).pairs == leader.prescription
+    assert on_path_transcript(result, PD).pairs == leader.prescription
     assert elapsed < 2.0
 
 
@@ -243,3 +243,15 @@ def test_state_budget_reports_how_far_it_got() -> None:
     assert (info.value.budget, info.value.visited) == (10, 11)
     assert (info.value.horizon, info.value.round) == (11, 6)
     assert "T=11" in str(info.value) and "round 6" in str(info.value)
+
+
+def test_base_strategy_defines_no_round_play() -> None:
+    """`strategy_at` is the one per-round method; the base class has none, and
+    its history folds report that instead of recursing."""
+    base = GamePlayingAlgorithm(2)
+    with pytest.raises(NotImplementedError):
+        base.strategy_at(0, ())
+    with pytest.raises(NotImplementedError):
+        base.round_strategy(())
+    with pytest.raises(NotImplementedError):
+        base.round_probabilities(())

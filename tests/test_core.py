@@ -12,6 +12,7 @@ from repstack import (
     ActionPair,
     EmptyTranscript,
     EntryOutOfRange,
+    InputError,
     MixedStrategy,
     RationalParseError,
     ShapeMismatch,
@@ -162,6 +163,16 @@ def test_mixed_strategy_validation() -> None:
     assert strategy.support() == (1, 2)
     assert not strategy.is_pure()
     assert MixedStrategy.pure(2, 3).support() == (2,)
+
+
+def test_pure_strategies_are_shared() -> None:
+    assert MixedStrategy.pure(2, 3) is MixedStrategy.pure(2, 3)
+    assert MixedStrategy.pure(2, 3) == MixedStrategy((Fraction(0), Fraction(1), Fraction(0)))
+    for _ in range(2):
+        with pytest.raises(InputError):
+            MixedStrategy.pure(4, 3)
+        with pytest.raises(InputError):
+            MixedStrategy.pure(0, 3)
 
 
 def test_mixed_strategy_sampling_is_exact() -> None:

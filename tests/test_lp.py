@@ -452,6 +452,40 @@ def test_simplex_matches_fraction_reference(source: str, monkeypatch) -> None:
         assert statuses == set(LPStatus)
 
 
+# Programs without constraints go through both simplex phases on an empty
+# constraint block: phase 1 is optimal at once, and phase 2 is unbounded on
+# any negative reduced cost and otherwise optimal at the lower bounds.
+ZERO_CONSTRAINT_PROGRAMS = {
+    "unbounded-free-variable": (
+        LinearProgram((F(0), F(-1)), lower_bounds=(F(0), None)),
+        LPStatus.UNBOUNDED,
+    ),
+    "unbounded-positive-cost": (LinearProgram((F(-1), F(1, 2))), LPStatus.UNBOUNDED),
+    "optimal-int-bounds": (LinearProgram((-1, -2, 0), lower_bounds=(2, -3, 5)), LPStatus.OPTIMAL),
+    "optimal-fraction-bounds": (
+        LinearProgram((F(-1), F(-2, 3), F(0)), lower_bounds=(F(1, 2), F(-5, 4), F(7, 3))),
+        LPStatus.OPTIMAL,
+    ),
+    "free-variable-zero-cost": (
+        LinearProgram((F(-1), F(0)), lower_bounds=(F(1, 2), None)),
+        LPStatus.OPTIMAL,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_CONSTRAINT_PROGRAMS)
+def test_zero_constraint_programs_match_fraction_reference(name: str) -> None:
+    from conftest import fraction_simplex_solve
+
+    program, status = ZERO_CONSTRAINT_PROGRAMS[name]
+    solution = simplex_solve(program)
+    assert solution == fraction_simplex_solve(program)
+    assert (solution.status, solution.pivots) == (status, (0, 0))
+    if status is LPStatus.OPTIMAL:
+        assert solution.values == tuple(b or 0 for b in program.bounds())
+        assert all(type(v) is Fraction for v in solution.values)
+
+
 @pytest.mark.parametrize(
     "value", [0.5, True, 1.0], ids=["float", "bool", "integral-float"]
 )

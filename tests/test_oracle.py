@@ -52,14 +52,14 @@ def test_best_response_grim_trigger_pd(pd_game) -> None:
     gpa = grim_trigger(pd_game, ActionPair(1, 1), punish_row=2)
     result = best_response(gpa, pd_game, 3)
     assert result.follower_value == F(11, 5)
-    path = on_path_transcript(result, gpa, pd_game, 3)
+    path = on_path_transcript(result, pd_game)
     assert [(p.row, p.col) for p in path.pairs] == [(1, 1), (1, 1), (1, 2)]
 
 
 def test_best_response_deterministic_construction_pd(pd_game) -> None:
     gpa, _ = build_deterministic_gpa(pd_game, 11)
     result = best_response(gpa, pd_game, 11)
-    path = on_path_transcript(result, gpa, pd_game, 11)
+    path = on_path_transcript(result, pd_game)
     assert path.pairs == gpa.prescription
     assert result.leader_value / 11 == F(39, 55)
     assert result.follower_value / 11 == F(19, 55)
@@ -208,14 +208,14 @@ def test_two_phase_defect_against_oracle(pd_game) -> None:
     leader = two_phase_defect_gpa(pd_game, horizon // 2)
     result = best_response(leader, pd_game, horizon)
     assert result.leader_value == F(4 * horizon - 3, 5)
-    path = on_path_transcript(result, leader, pd_game, horizon)
+    path = on_path_transcript(result, pd_game)
     assert [(p.row, p.col) for p in path.pairs] == (
         [(2, 1)] * 3 + [(1, 1)] * 2 + [(1, 2)]
     )
 
     greedy = two_phase_defect_gpa(pd_game, horizon - 1)
     result = best_response(greedy, pd_game, horizon)
-    path = on_path_transcript(result, greedy, pd_game, horizon)
+    path = on_path_transcript(result, pd_game)
     assert path.pairs[0].col == 2  # the follower defects immediately
     assert result.leader_value == horizon * F(1, 5)
 
@@ -227,7 +227,7 @@ def test_oracle_policy_is_a_lookup_table_strategy(pd_game) -> None:
     result = best_response(leader, pd_game, 4)
     follower = lookup_table_gpa(result.follower_policy, pd_game.cols)
     transcript = simulate(leader, follower, pd_game, 4, seed=0)
-    assert transcript.pairs == on_path_transcript(result, leader, pd_game, 4).pairs
+    assert transcript.pairs == on_path_transcript(result, pd_game).pairs
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -361,8 +361,8 @@ def test_zero_sum_no_regret_commitment(matching_pennies) -> None:
 def test_best_response_serialization(pd_game) -> None:
     gpa, _ = build_deterministic_gpa(pd_game, 11)
     result = best_response(gpa, pd_game, 11)
-    text = best_response_to_json(result, gpa, pd_game, 11)
+    text = best_response_to_json(result)
     assert '"follower_value":"19/5"' in text
     assert '"leader_value":"39/5"' in text
-    second = best_response_to_json(result, gpa, pd_game, 11)
+    second = best_response_to_json(result)
     assert text == second

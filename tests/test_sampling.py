@@ -33,7 +33,8 @@ from repstack import (
     verify_prescription,
 )
 from repstack import _rng
-from repstack.gpa import HorizonTooShort, PrescribedSequenceGPA
+from repstack.gpa import _STREAM_SAMPLES, HorizonTooShort, PrescribedSequenceGPA
+from repstack.oracle import _STREAM_FOLLOWER, _STREAM_LEADER
 from conftest import (
     fraction_sample_prescription,
     fraction_verify_prescription,
@@ -160,6 +161,19 @@ def test_sample_prescription_matches_fraction_reference(block: int) -> None:
         game = _random_game(rng)
         horizon = rng.choice((1, 2, 2, 3, 5, rng.randint(6, 40), rng.randint(41, 400)))
         _assert_same_construction(game, horizon, rng.randrange(1 << 20))
+
+
+@pytest.mark.parametrize("stream", [0, _STREAM_LEADER, _STREAM_FOLLOWER, _STREAM_SAMPLES])
+def test_u64_is_the_hash_of_seed_stream_counter(stream: int) -> None:
+    """Draw k of stream s under seed z is the first 8 bytes of
+    blake2b("z:s:k"), read big-endian, for any seed and counter."""
+    for seed in (0, 7, -1, -(10**30), 2**64 + 3, 10**40):
+        rng = _rng.CounterRng(seed, stream)
+        for counter in (0, 1, 9, 10, 12345, 2**63, 10**30):
+            payload = f"{seed}:{stream}:{counter}".encode()
+            expected = int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
+            assert rng.u64(counter) == expected
+            assert rng.u64(counter) == expected  # a draw leaves no trace on the next
 
 
 def test_sample_prescription_keeps_one_draw_per_round(monkeypatch) -> None:
