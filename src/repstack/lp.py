@@ -1,13 +1,18 @@
 """Exact rational linear programming and the leader-commitment LPs.
 
-The simplex solver runs on an integer tableau: the constraint block is
-multiplied by one common denominator and pivoted fraction-free (Bareiss), so
-no pivot computes a gcd, and every value it returns is a `Fraction` read off
-the final tableau.  Bland's anti-cycling pivot rule makes it terminate on
-every input and return the same optimal vertex for the same program every
-time.  On top of it sit the two game LPs: the zero-sum threat computation and
-the commitment LP that bounds what any leader strategy can extract from a
-best-responding follower.
+The simplex solver is integer from reading the program to building its
+answer.  Each coefficient goes straight into its standard-form column of an
+integer tableau, multiplied by one common denominator (the LCM of the
+denominators of the constraint block and of its right-hand sides), and the
+tableau is pivoted fraction-free (Bareiss), so no pivot computes a gcd.  The
+only `Fraction` arithmetic before the answer shifts the right-hand sides by
+the nonzero lower bounds.  `Fraction`s are built at the end: one per original
+variable from the final tableau, and the objective from its row 0.  Bland's
+anti-cycling pivot rule makes it terminate on every input and return the
+same optimal vertex for the same program every time.  On top of it sit the
+two game LPs: the zero-sum threat computation, whose certificate
+max_j x*.M2 e_j == V is checked in integers, and the commitment LP that
+bounds what any leader strategy can extract from a best-responding follower.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import ActionPair, BimatrixGame, InputError, MixedStrategy, validate_game
+from .core import ActionPair, BimatrixGame, InputError, MixedStrategy
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -181,13 +186,22 @@ def _rebuild_cost_row(
     tableau[0] = row0
 
 
-def _common_scale(values: Sequence[Fraction]) -> int:
-    """The least common multiple of the denominators of `values`."""
-    return math.lcm(*(v.denominator for v in values))
-
-
 def _scaled(values: Sequence[Fraction], scale: int) -> list[int]:
+    """`scale` times `values`, as integers; `scale` is a common denominator."""
     return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _standard_row(row: Sequence[Fraction], scale: int, free: Sequence[int]) -> list[int]:
+    """`scale` times `row` over the standard columns, as integers.
+
+    Every variable keeps its coefficient in its own column; a free variable
+    `j` (listed in increasing order in `free`) also gets the negated
+    coefficient in the column right after it.
+    """
+    out = _scaled(row, scale)
+    for j in reversed(free):
+        out.insert(j + 1, -out[j])
+    return out
 
 
 def simplex_solve(lp: LinearProgram) -> LPSolution:
@@ -195,76 +209,54 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
 
     Returns the canonical optimal basic solution for the program (fixed pivot
     rule, hence deterministic), or a solution object with INFEASIBLE /
-    UNBOUNDED status.  The tableau is integer: the constraint block is
-    multiplied by the LCM of its denominators and every pivot is
-    fraction-free, so the only `Fraction`s are built from the final tableau.
+    UNBOUNDED status.  The program's rows go straight into an integer
+    tableau, scaled by the LCM of the denominators of the constraint block
+    and its right-hand sides, and every pivot is fraction-free; the only
+    `Fraction`s are the returned values and objective, built from the final
+    tableau.
     """
-    n = len(lp.objective)
     bounds = lp.bounds()
 
-    # Rewrite every variable as a nonnegative one: shifted by its lower bound,
-    # or split into a difference of two nonnegatives when free.
-    col_of: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (column, sign)
-    shift: list[Fraction] = []
-    n_std = 0
-    for j, lb in enumerate(bounds):
-        if lb is None:
-            col_of[j] = [(n_std, 1), (n_std + 1, -1)]
-            shift.append(ZERO)
-            n_std += 2
-        else:
-            col_of[j] = [(n_std, 1)]
-            shift.append(lb)
-            n_std += 1
+    # Standard form: every variable becomes nonnegative, shifted by its lower
+    # bound or split into a difference of two nonnegative columns when free.
+    # Only a nonzero lower bound shifts the right-hand sides.
+    free = [j for j, lb in enumerate(bounds) if lb is None]
+    shifts = [(j, lb) for j, lb in enumerate(bounds) if lb]
+    rows = (*lp.a_eq, *lp.a_ge)
+    rhs = (*lp.b_eq, *lp.b_ge)
+    if shifts:
+        rhs = tuple(b - sum(row[j] * lb for j, lb in shifts) for row, b in zip(rows, rhs))
+    n_eq, m = len(lp.a_eq), len(rows)
+    n_slacks = m - n_eq
+    n_real = len(bounds) + len(free) + n_slacks
 
-    def expand(row: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
-        """Map an original-variable row to standard columns; return rhs shift."""
-        out = [ZERO] * n_std
-        offset = ZERO
-        for j, coeff in enumerate(row):
-            if coeff == 0:
-                continue
-            for column, sign in col_of[j]:
-                out[column] += sign * coeff
-            offset += coeff * shift[j]
-        return out, offset
+    # One common scale for the whole constraint block, right-hand sides
+    # included.  Scaling rows separately would change the signs of phase-1
+    # reduced costs, and with them Bland's choices; one scale keeps every
+    # sign and ratio order, since the identity artificial columns then stand
+    # for artificials scaled by L.
+    scale = math.lcm(
+        *(v.denominator for row in rows for v in row), *(b.denominator for b in rhs)
+    )
 
-    rows: list[list[Fraction]] = []
-    n_slacks = len(lp.a_ge)
-    for row, b in zip(lp.a_eq, lp.b_eq):
-        expanded, offset = expand(row)
-        rows.append(expanded + [ZERO] * n_slacks + [b - offset])
-    for k, (row, b) in enumerate(zip(lp.a_ge, lp.b_ge)):
-        expanded, offset = expand(row)
-        slack = [ZERO] * n_slacks
-        slack[k] = Fraction(-1)
-        rows.append(expanded + slack + [b - offset])
-
-    n_real = n_std + n_slacks
-    m = len(rows)
-    expanded_obj, _ = expand(lp.objective)
-    objective_std = expanded_obj + [ZERO] * n_slacks
-
-    # One common scale for the whole constraint block.  Scaling rows
-    # separately would change the signs of phase-1 reduced costs, and with
-    # them Bland's choices; one scale keeps every sign and ratio order, since
-    # the identity artificial columns then stand for artificials scaled by L.
-    scale = _common_scale([v for row in rows for v in row])
-
-    # Phase 1: artificial variable per row, minimize their sum.
-    n_total = n_real + m
+    # Phase 1: artificial variable per row, minimize their sum.  A row whose
+    # scaled right-hand side is negative is negated, artificial excepted.
     tableau: list[list[int]] = [[]]
     basis: list[int] = []
-    for i, row in enumerate(rows):
-        scaled = _scaled(row, scale)
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        slack = [0] * n_slacks
+        if i >= n_eq:
+            slack[i - n_eq] = -scale
+        scaled = _standard_row(row, scale, free) + slack
+        scaled.append(b.numerator * (scale // b.denominator))
         if scaled[-1] < 0:
             scaled = [-v for v in scaled]
         art = [0] * m
         art[i] = 1
-        tableau.append(scaled[:n_real] + art + scaled[-1:])
+        tableau.append(scaled[:-1] + art + scaled[-1:])
         basis.append(n_real + i)
     _rebuild_cost_row(tableau, basis, [0] * n_real + [-1] * m, 1)
-    status, denominator, phase1_pivots = _bland_optimize(tableau, basis, n_total, 1)
+    status, denominator, phase1_pivots = _bland_optimize(tableau, basis, n_real + m, 1)
     assert status is LPStatus.OPTIMAL  # phase 1 objective is bounded above by 0
     if tableau[0][-1] != 0:
         return LPSolution(LPStatus.INFEASIBLE, pivots=(phase1_pivots, 0))
@@ -287,9 +279,11 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
         del tableau[i]
         del basis[i - 1]
 
-    # Phase 2 on real columns only, with the objective scaled to integers.
+    # Phase 2 on real columns only, with the objective scaled to integers by
+    # the LCM of its denominators.
     tableau = [row[:n_real] + [row[-1]] for row in tableau]
-    costs = _scaled(objective_std, _common_scale(objective_std))
+    cost_scale = math.lcm(*(c.denominator for c in lp.objective))
+    costs = _standard_row(lp.objective, cost_scale, free) + [0] * n_slacks
     _rebuild_cost_row(tableau, basis, costs, denominator)
     status, denominator, phase2_pivots = _bland_optimize(
         tableau, basis, n_real, denominator
@@ -298,18 +292,26 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
     if status is LPStatus.UNBOUNDED:
         return LPSolution(LPStatus.UNBOUNDED, pivots=pivots)
 
-    # The tableau holds denominator * B^-1 b for the scaled rows, which is
-    # denominator * x: the row scale cancels against the basis.
-    std_values = [ZERO] * n_real
+    # The right-hand sides hold denominator * B^-1 b for the scaled rows,
+    # which is denominator * x: the row scale cancels against the basis.
+    # Row 0's holds denominator * cost_scale times the standard objective,
+    # which misses only the constant sum_j c_j lb_j of the shifts.
+    scaled_x = [0] * n_real
     for var, row in zip(basis, tableau[1:]):
-        std_values[var] = Fraction(row[-1], denominator)
+        scaled_x[var] = row[-1]
     values = []
-    for j in range(n):
-        total = sum(
-            (Fraction(sign) * std_values[column] for column, sign in col_of[j]), ZERO
-        )
-        values.append(total + shift[j])
-    objective_value = sum((c * v for c, v in zip(lp.objective, values)), ZERO)
+    column = 0
+    for lb in bounds:
+        if lb is None:
+            values.append(Fraction(scaled_x[column] - scaled_x[column + 1], denominator))
+            column += 2
+        else:
+            value = Fraction(scaled_x[column], denominator)
+            values.append(value + lb if lb else value)
+            column += 1
+    objective_value = Fraction(tableau[0][-1], denominator * cost_scale)
+    if shifts:
+        objective_value += sum(lp.objective[j] * lb for j, lb in shifts)
     return LPSolution(LPStatus.OPTIMAL, tuple(values), objective_value, pivots)
 
 
@@ -350,10 +352,17 @@ def threat(game: BimatrixGame) -> ThreatResult:
     assert solution.status is LPStatus.OPTIMAL and solution.values is not None
     strategy = MixedStrategy(tuple(solution.values[:rows]))
     value = solution.values[rows]
-    best_reply = max(
-        strategy.expected([game.m2[i][j] for i in range(rows)]) for j in range(cols)
-    )
-    if best_reply != value:
+    # Certificate in integers: with x* scaled by the LCM D of its denominators
+    # and M2 by the granularity A, max_j x*.M2 e_j == value iff
+    # max_j (D x*).(A M2) e_j == D * A * value.
+    scale = math.lcm(*(w.denominator for w in strategy.weights))
+    support = [
+        (x, _scaled(game.m2[i], game.granularity))
+        for i, x in enumerate(_scaled(strategy.weights, scale))
+        if x
+    ]
+    best_reply = max(sum(x * row[j] for x, row in support) for j in range(cols))
+    if best_reply * value.denominator != scale * game.granularity * value.numerator:
         raise RuntimeError("threat solver produced an inconsistent certificate")
     return ThreatResult(value=value, strategy=strategy)
 
@@ -364,7 +373,13 @@ def game_value(game: BimatrixGame) -> Fraction:
     For a zero-sum game this is the game value; it always equals the negated
     threat value of the game whose follower matrix is -M1.
     """
-    negated = validate_game(game.m1, [[-v for v in row] for row in game.m1])
+    negated = BimatrixGame(
+        rows=game.rows,
+        cols=game.cols,
+        m1=game.m1,
+        m2=tuple(tuple(-v for v in row) for row in game.m1),
+        granularity=math.lcm(*(v.denominator for row in game.m1 for v in row)),
+    )
     return -threat(negated).value
 
 

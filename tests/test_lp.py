@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -551,3 +552,240 @@ def test_threat_30x30_within_three_seconds() -> None:
         sum(w * game.m2[i][j] for i, w in enumerate(result.strategy.weights))
         for j in range(30)
     ) == result.value
+
+
+# The standard form goes straight into the integer tableau: one original
+# coefficient per standard column (negated in a free variable's second
+# column), right-hand sides shifted by the nonzero lower bounds, and one scale
+# for coefficients and shifted right-hand sides together.  These programs
+# stress each of those steps against the Fraction tableau.
+SHIFT_AND_SPLIT_PROGRAMS = {
+    # x + y = 1 with x >= 1/3: the shifted right-hand side 2/3 has a
+    # denominator that no coefficient and no input right-hand side has.
+    "shifted-rhs-denominator": (
+        LinearProgram((0, 1), a_eq=((1, 1),), b_eq=(1,), lower_bounds=(F(1, 3), 0)),
+        (F(1, 3), F(2, 3)),
+        F(2, 3),
+    ),
+    # x - 2y >= 1/5 and x <= 2, with x >= 1/2 and y >= 1/7.
+    "shifted-ge-rows": (
+        LinearProgram(
+            (F(1, 2), 1),
+            a_ge=((1, -2), (-1, 0)),
+            b_ge=(F(1, 5), -2),
+            lower_bounds=(F(1, 2), F(1, 7)),
+        ),
+        (F(2), F(9, 10)),
+        F(19, 10),
+    ),
+    # Integers only, with nonzero integer bounds and a free variable.
+    "int-only": (
+        LinearProgram(
+            (-1, 2, -3),
+            a_eq=((1, 1, 1),),
+            b_eq=(4,),
+            a_ge=((0, -1, 0), (0, 0, 1)),
+            b_ge=(-5, -2),
+            lower_bounds=(-2, None, 1),
+        ),
+        (F(-2), F(5), F(1)),
+        F(9),
+    ),
+    # A free variable with a Fraction cost sits at a negative value.
+    "free-fraction-objective": (
+        LinearProgram(
+            (F(-2, 3), F(1, 7)),
+            a_ge=((1, 0), (0, -1)),
+            b_ge=(F(-5, 4), F(-1, 2)),
+            lower_bounds=(None, None),
+        ),
+        (F(-5, 4), F(1, 2)),
+        F(5, 6) + F(1, 14),
+    ),
+    # The optimum sits at the lower bounds: only the shift constant
+    # sum_j c_j lb_j makes up the objective.
+    "objective-constant": (
+        LinearProgram((-1, F(-1, 3)), a_ge=((-1, -1),), b_ge=(-4,), lower_bounds=(F(5, 2), 1)),
+        (F(5, 2), F(1)),
+        F(-17, 6),
+    ),
+    # x >= 2 from its bound but x <= 3/2 from the row.
+    "infeasible-shifted": (
+        LinearProgram((1,), a_ge=((-1,),), b_ge=(F(-3, 2),), lower_bounds=(2,)),
+        None,
+        None,
+    ),
+    # x - y >= 1/2 with x >= -7/3 and y >= 1/4, maximizing x.
+    "unbounded-shifted": (
+        LinearProgram((1, 0), a_ge=((1, -1),), b_ge=(F(1, 2),), lower_bounds=(F(-7, 3), F(1, 4))),
+        None,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SHIFT_AND_SPLIT_PROGRAMS)
+def test_shift_and_split_programs_match_fraction_reference(name: str) -> None:
+    from conftest import fraction_simplex_solve
+
+    program, values, objective_value = SHIFT_AND_SPLIT_PROGRAMS[name]
+    solution = simplex_solve(program)
+    assert solution == fraction_simplex_solve(program)
+    assert (solution.values, solution.objective_value) == (values, objective_value)
+    if name.startswith("infeasible"):
+        assert solution.status is LPStatus.INFEASIBLE
+    elif name.startswith("unbounded"):
+        assert solution.status is LPStatus.UNBOUNDED
+    else:
+        assert solution.status is LPStatus.OPTIMAL
+        assert all(type(v) is Fraction for v in solution.values)
+        assert type(solution.objective_value) is Fraction
+
+
+def _stress_program(rng: random.Random, kind: str) -> LinearProgram:
+    """A random program of one stress family; see the test below."""
+    small_int = lambda: rng.randint(-3, 3)
+    odd_bound = lambda: F(rng.choice([-1, 1]) * rng.randint(1, 8), rng.choice([3, 5, 7]))
+    if kind == "shifted-rhs":  # integer data, Fraction bounds with new denominators
+        coeff, rhs, cost = small_int, small_int, small_int
+        bound = lambda: rng.choice([0, odd_bound(), odd_bound()])
+    elif kind == "int-only":
+        coeff, rhs, cost = small_int, small_int, small_int
+        bound = lambda: rng.choice([None, 0, small_int()])
+    elif kind == "free-fraction-objective":
+        coeff, rhs = (lambda: _random_number(rng)), (lambda: _random_number(rng))
+        cost = lambda: F(rng.randint(-6, 6), rng.randint(2, 6))
+        bound = lambda: rng.choice([None, None, 0])
+    else:  # "objective-constant": nonzero bounds under nonzero costs
+        coeff, rhs = (lambda: _random_number(rng)), (lambda: _random_number(rng))
+        cost = lambda: rng.choice([-1, 1]) * F(rng.randint(1, 6), rng.randint(1, 6))
+        bound = odd_bound
+    n = rng.randint(1, 4)
+    lower = tuple(bound() for _ in range(n))
+    row = lambda: tuple(coeff() for _ in range(n))
+    a_eq = [row() for _ in range(rng.randint(0, 2))]
+    a_ge = [row() for _ in range(rng.randint(0, 3))]
+    b_eq = [rhs() for _ in a_eq]
+    b_ge = [rhs() for _ in a_ge]
+    if rng.random() < 0.6:  # a box |x_j| <= 4 keeps most programs bounded
+        for j in range(n):
+            a_ge.append(tuple(-1 if k == j else 0 for k in range(n)))
+            b_ge.append(-4)
+            if lower[j] is None:
+                a_ge.append(tuple(1 if k == j else 0 for k in range(n)))
+                b_ge.append(-4)
+    objective = tuple(cost() for _ in range(n))
+    return LinearProgram(objective, tuple(a_eq), tuple(b_eq), tuple(a_ge), tuple(b_ge), lower)
+
+
+def _shifted_rhs_needs_its_own_denominator(program: LinearProgram) -> bool:
+    """Some shifted right-hand side has a denominator that the LCM of the
+    coefficient and input right-hand-side denominators does not cover."""
+    rows = program.a_eq + program.a_ge
+    data = [v for row in rows for v in row] + list(program.b_eq + program.b_ge)
+    scale = math.lcm(*(v.denominator for v in data))
+    for row, b in zip(rows, program.b_eq + program.b_ge):
+        shifted = b - sum((a * lb for a, lb in zip(row, program.bounds()) if lb), F(0))
+        if scale % shifted.denominator:
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "kind", ["shifted-rhs", "int-only", "free-fraction-objective", "objective-constant"]
+)
+def test_stress_programs_match_fraction_reference(kind: str) -> None:
+    """Status, values, objective and pivots per phase equal the Fraction
+    tableau's on 250 random programs of each family, and each family really
+    exercises what it is named after."""
+    from conftest import fraction_simplex_solve
+
+    rng = random.Random(f"stress:{kind}")
+    statuses = set()
+    exercised = 0
+    for _ in range(250):
+        program = _stress_program(rng, kind)
+        solution = simplex_solve(program)
+        assert solution == fraction_simplex_solve(program), program
+        statuses.add(solution.status)
+        if kind == "shifted-rhs":
+            exercised += _shifted_rhs_needs_its_own_denominator(program)
+        elif kind == "int-only":
+            exercised += solution.status is LPStatus.OPTIMAL and solution.pivots[0] > 0
+        elif kind == "free-fraction-objective":
+            exercised += solution.status is LPStatus.OPTIMAL and any(
+                lb is None and v < 0 for lb, v in zip(program.bounds(), solution.values)
+            )
+        else:
+            exercised += solution.status is LPStatus.OPTIMAL and sum(
+                c * lb for c, lb in zip(program.objective, program.bounds())
+            ) != 0
+    assert statuses == set(LPStatus)
+    assert exercised >= 25
+
+
+def _mixed_denominator_game():
+    # M1 in thirds; M2 in halves and fifths, so the granularity (30) is not
+    # M2's alone.  The threat is x* = (1/2, 1/2) with value 3/20.
+    return validate_game(
+        [["1/3", "-2/3"], [0, 1]], [["1/2", "-1/5"], ["-1/5", "1/2"]]
+    )
+
+
+@pytest.mark.parametrize("game", ["pd", "mixed-denominators"])
+def test_threat_certificate_rejects_non_optimal_strategy(game: str, pd_game, monkeypatch) -> None:
+    """A solver that returned a feasible but non-optimal leader strategy with
+    the LP's value must trip the exact max_j x.M2 e_j == V check."""
+    import dataclasses
+
+    from repstack import lp
+
+    game = pd_game if game == "pd" else _mixed_denominator_game()
+    optimum = threat(game)
+    if game is not pd_game:
+        assert (optimum.value, optimum.strategy.weights) == (F(3, 20), (F(1, 2), F(1, 2)))
+    solve = lp.simplex_solve
+    alternatives = [
+        tuple(F(int(i == k)) for i in range(game.rows)) for k in range(game.rows)
+    ] + [(F(1, 2) + F(1, 7), F(1, 2) - F(1, 7))]
+    alternatives = [x for x in alternatives if x != optimum.strategy.weights]
+    assert alternatives
+    for weights in alternatives:
+
+        def non_optimal(program: LinearProgram):
+            solution = solve(program)
+            return dataclasses.replace(solution, values=weights + solution.values[game.rows :])
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "simplex_solve", non_optimal)
+            with pytest.raises(RuntimeError, match="inconsistent certificate"):
+                threat(game)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_game_value_negated_game_equals_validated_game(seed: int, monkeypatch) -> None:
+    """`game_value` builds the game with M2 = -M1 directly; it must equal
+    `validate_game(m1, -m1)` in every field, granularity included (the LCM of
+    M1's denominators, not the input game's)."""
+    import dataclasses
+
+    from repstack import BimatrixGame, lp
+
+    rng = random.Random(3300 + seed)
+    rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+    m1 = [[F(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 6])) for _ in range(cols)] for _ in range(rows)]
+    m2 = [[F(rng.randint(-5, 5), rng.choice([5, 7])) for _ in range(cols)] for _ in range(rows)]
+    m1 = [[max(min(v, F(1)), F(-1)) for v in row] for row in m1]
+    game = validate_game(m1, m2)
+    seen = []
+    real_threat = lp.threat
+    monkeypatch.setattr(lp, "threat", lambda g: seen.append(g) or real_threat(g))
+    value = game_value(game)
+    (negated,) = seen
+    expected = validate_game(game.m1, [[-v for v in row] for row in game.m1])
+    for field in dataclasses.fields(BimatrixGame):
+        assert getattr(negated, field.name) == getattr(expected, field.name), field.name
+    assert all(type(v) is Fraction for row in negated.m2 for v in row)
+    assert value == -real_threat(expected).value
+    if any(v.denominator > 1 for row in game.m2 for v in row):
+        assert negated.granularity != game.granularity
