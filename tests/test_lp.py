@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -732,17 +733,15 @@ def _mixed_denominator_game():
     )
 
 
-@pytest.mark.parametrize("game", ["pd", "mixed-denominators"])
-def test_threat_certificate_rejects_non_optimal_strategy(game: str, pd_game, monkeypatch) -> None:
+@pytest.mark.parametrize("name", ["pd", "mixed-denominators"])
+def test_threat_certificate_rejects_non_optimal_strategy(name: str, pd_game, monkeypatch) -> None:
     """A solver that returned a feasible but non-optimal leader strategy with
     the LP's value must trip the exact max_j x.M2 e_j == V check."""
-    import dataclasses
-
     from repstack import lp
 
-    game = pd_game if game == "pd" else _mixed_denominator_game()
+    game = pd_game if name == "pd" else _mixed_denominator_game()
     optimum = threat(game)
-    if game is not pd_game:
+    if name == "mixed-denominators":
         assert (optimum.value, optimum.strategy.weights) == (F(3, 20), (F(1, 2), F(1, 2)))
     solve = lp.simplex_solve
     alternatives = [
@@ -767,8 +766,6 @@ def test_game_value_negated_game_equals_validated_game(seed: int, monkeypatch) -
     """`game_value` builds the game with M2 = -M1 directly; it must equal
     `validate_game(m1, -m1)` in every field, granularity included (the LCM of
     M1's denominators, not the input game's)."""
-    import dataclasses
-
     from repstack import BimatrixGame, lp
 
     rng = random.Random(3300 + seed)
