@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -266,6 +267,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_audit_vc(args: argparse.Namespace) -> int:
+    if args.resolution < 1:
+        raise InputError("resolution must be at least 1")
     graph = _load_graph(args.graph)
     game3 = hardness.reduce_graph(graph)
     cover = hardness.balanced_vertex_cover(graph)
@@ -307,7 +310,9 @@ def cmd_audit_vc(args: argparse.Namespace) -> int:
     return EXIT_OK if certified else EXIT_VERIFICATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; each `parse_args` call starts afresh."""
     parser = argparse.ArgumentParser(
         prog="repstack",
         description="Exact solver toolkit for leader commitments in finite-horizon repeated games.",

@@ -310,6 +310,14 @@ def grid_audit_player3(
     at grid points only, not over the whole simplex.  The sweep runs in
     integers (payoffs over the LCM of their denominators) and builds one
     `Fraction` at the end.
+
+    `budget` bounds the worst case, points^2 * k action evaluations, and is
+    checked before the sweep starts.  The sweep itself prunes: a grid point
+    stops scanning Player 3's actions at the first one that reaches the
+    running minimum, since its best reply cannot then lower it, and that
+    action is tried first at the next points with the same P2 weights.  So
+    it usually evaluates far fewer actions, and returns the same exact
+    minimum.
     """
     if resolution < 1:
         raise InputError("resolution must be at least 1")
@@ -328,7 +336,9 @@ def grid_audit_player3(
         [[v.numerator * (scale // v.denominator) for v in cell] for cell in plane]
         for plane in game3.mu3
     ]
-    worst: int | None = None
+    # No total exceeds resolution^2 times the largest payoff, so this bounds
+    # the minimum from above, and is the minimum if no scan below completes.
+    worst = resolution * resolution * max(v for plane in mu3 for cell in plane for v in cell)
     for q2 in grid:
         # For fixed p2, precompute each action's payoff vector against p1 rows.
         weighted = [(s, w) for s, w in enumerate(q2) if w]
@@ -336,11 +346,19 @@ def grid_audit_player3(
             [sum(w * mu3[r][s][t] for s, w in weighted) for r in range(n)]
             for t in range(k)
         ]
+        # One action reaching `worst` shows a point cannot lower it; the
+        # action that showed it last is tried first.
+        front = contracted[0]
         for q1 in grid:
-            best = max(sum(map(operator.mul, q1, row)) for row in contracted)
-            if worst is None or best < worst:
-                worst = best
-    assert worst is not None
+            if sum(map(operator.mul, q1, front)) >= worst:
+                continue
+            for i in range(1, k):
+                if sum(map(operator.mul, q1, contracted[i])) >= worst:
+                    front = contracted.pop(i)
+                    contracted.insert(0, front)
+                    break
+            else:
+                worst = max(sum(map(operator.mul, q1, row)) for row in contracted)
     return Fraction(worst, scale * resolution * resolution)
 
 

@@ -225,6 +225,20 @@ def test_audit_vc_k4_exponent_zero_threshold(tmp_path, capsys) -> None:
     assert "grid certificate: FAILS" in out
 
 
+@pytest.mark.parametrize("resolution", ["0", "-3"])
+@pytest.mark.parametrize("graph", [CYCLE4, K4], ids=["cycle4", "k4"])
+def test_audit_vc_rejects_resolution_below_one(tmp_path, capsys, graph, resolution) -> None:
+    """A balanced cover (cycle4) never reaches the grid, yet the resolution
+    is still checked: both paths exit 2 and print no report."""
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text(graph)
+    code = main(["audit-vc", str(graph_path), "--resolution", resolution])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "resolution must be at least 1" in captured.err
+
+
 @pytest.mark.parametrize(
     "command, strategy",
     [
@@ -299,3 +313,38 @@ def test_closed_stdout_exits_quietly(pd_file, flags) -> None:
     assert len(head) == 10
     assert b"Traceback" not in err, err.decode()
     assert process.returncode == 0
+
+
+def test_one_parser_carries_nothing_between_calls(pd_file, tmp_path, capsys) -> None:
+    """`main` reuses one parser per process.  A sequence of calls whose flags
+    differ, with an argparse error in the middle, prints the same stdout and
+    exits with the same code as a fresh process per command."""
+    gpa_path = tmp_path / "gpa.json"
+    assert main(["build", pd_file, "-T", "11", "-o", str(gpa_path)]) == 0
+    capsys.readouterr()
+    sequence = [
+        ["build", pd_file, "-T", "11", "--sampled", "--seed", "5", "--json"],
+        ["build", pd_file, "-T", "11"],
+        ["evaluate", pd_file, str(gpa_path), "--budget", "10"],
+        ["build", pd_file, "--sampled"],  # -T is required: argparse exits 2
+        ["evaluate", pd_file, str(gpa_path)],
+        ["audit-vc", pd_file, "--resolution", "0", "--json"],
+        ["threat", pd_file],
+    ]
+    in_process = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, capsys.readouterr().out.encode()))
+    assert [code for code, _ in in_process] == [0, 0, 3, 2, 0, 2, 0]
+
+    env = dict(os.environ)
+    package_root = str(Path(repstack.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    for argv, (code, out) in zip(sequence, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "repstack.cli", *argv], capture_output=True, env=env, timeout=60
+        )
+        assert (fresh.returncode, fresh.stdout) == (code, out), argv

@@ -345,3 +345,104 @@ def test_grid_audit_matches_fraction_reference() -> None:
         assert grid_audit_player3(game3, resolution) == fraction_grid_audit_player3(
             game3, resolution
         )
+
+
+def _signed_game(n: int, entries) -> "ThreePlayerGame":
+    """A three-player game on n vertices with Player 3's payoffs taken from
+    `entries[r][s]` (one value per action, any sign).  The graph only fixes
+    the action count k = n + m + 1, so it gets k - n - 1 edges."""
+    from repstack import ThreePlayerGame
+
+    mu3 = tuple(tuple(tuple(F(v) for v in entries[r][s]) for s in range(n)) for r in range(n))
+    k = len(mu3[0][0])
+    edges = tuple(itertools.combinations(range(1, n + 1), 2))[: k - n - 1]
+    assert len(edges) == k - n - 1
+    zeros = tuple(tuple(tuple(F(0) for _ in range(k)) for _ in range(n)) for _ in range(n))
+    return ThreePlayerGame(Graph(n, edges), zeros, zeros, mu3)
+
+
+def test_pruned_grid_sweep_matches_fraction_reference() -> None:
+    """Pruning skips actions, never the minimum: the sweep equals the
+    Fraction reference on signed rational payoffs and on reduction games."""
+    import random
+
+    from conftest import fraction_grid_audit_player3
+
+    rng = random.Random(9000)
+    entry = lambda: F(rng.randint(-40, 40), rng.randint(1, 9))
+    games = []
+    for n, k in ((2, 4), (3, 7), (4, 7)):
+        # Generic payoffs: which action is the best reply changes across the grid.
+        games.append(_signed_game(n, [[[entry() for _ in range(k)] for _ in range(n)] for _ in range(n)]))
+        # Tied actions: each random action appears twice (after one constant
+        # action when k is odd).
+        base = [[[entry() for _ in range(k // 2)] for _ in range(n)] for _ in range(n)]
+        games.append(_signed_game(n, [[[F(-1, 3)] * (k % 2) + cell + cell for cell in row] for row in base]))
+        # Small integer payoffs: grid points' best replies often differ by
+        # exactly one unit of the integer sweep.
+        games.append(_signed_game(n, [[[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)] for _ in range(n)]))
+    for game3 in games:
+        assert len(game3.mu3[0][0]) == game3.strategy_counts[2]
+        for resolution in range(1, 7 if game3.strategy_counts[0] < 4 else 5):
+            assert grid_audit_player3(game3, resolution) == fraction_grid_audit_player3(
+                game3, resolution
+            ), (game3.mu3, resolution)
+    # Balanced covers: Player 3's best reply is 1 at many grid points, so most
+    # points tie with the running minimum.
+    rng_graphs = random.Random(9001)
+    covered = [CYCLE4, PATH3, EDGELESS]
+    while len(covered) < 6:
+        graph = _random_graph(rng_graphs, 5)
+        if balanced_vertex_cover(graph) is not None:
+            covered.append(graph)
+    for graph in covered:
+        game3 = reduce_graph(graph)
+        for resolution in range(1, 5 if graph.n == 4 else 4):
+            worst = grid_audit_player3(game3, resolution)
+            assert worst == fraction_grid_audit_player3(game3, resolution)
+            if graph.n % 2 == 0 and resolution % 2 == 0:
+                assert worst <= 1  # the cover strategies sit on this grid
+
+
+@pytest.mark.parametrize("resolution", range(1, 7))
+def test_pruned_grid_sweep_minimum_at_the_last_point(resolution) -> None:
+    """A minimum reached only at the sweep's last grid point (all weight on
+    vertex 1 for both players) is still found, under a non-constant best reply."""
+    from conftest import fraction_grid_audit_player3
+    from repstack.hardness import _grid_points
+
+    n = 3
+    # With x = E[r + s] over 0-based vertices, action 0 pays 1/2 + 2x and
+    # action 1 pays 3/2 + x: the best reply is action 1 below x = 1 and
+    # action 0 above it, and the max of the two is lowest only at x = 0, the
+    # last grid point.  Actions 2 and 3 never win.
+    entries = [
+        [[F(1, 2) + 2 * (r + s), F(3, 2) + r + s, F(-7, 3), F(-5, 2)] for s in range(n)]
+        for r in range(n)
+    ]
+    game3 = _signed_game(n, entries)
+    grid = [MixedStrategy(tuple(F(q, resolution) for q in point)) for point in _grid_points(n, resolution)]
+    replies = [player3_audit(game3, p1, p2) for p2 in grid for p1 in grid]
+    values = [value for _, value in replies]
+    assert {action for action, _ in replies} == {0, 1}
+    assert min(values) == values[-1] and values.count(values[-1]) == 1
+    assert grid_audit_player3(game3, resolution) == values[-1]
+    assert fraction_grid_audit_player3(game3, resolution) == values[-1]
+
+
+def test_grid_audit_budget_is_points_squared_times_actions() -> None:
+    game3 = reduce_graph(K4)  # resolution 2: 10 grid points, 11 actions
+    assert grid_audit_player3(game3, 2, budget=10 * 10 * 11) == grid_audit_player3(game3, 2)
+    with pytest.raises(BudgetExceeded, match="1100 evaluations, budget is 1099"):
+        grid_audit_player3(game3, 2, budget=10 * 10 * 11 - 1)
+
+
+def test_grid_audit_k4_resolution_16() -> None:
+    import time
+
+    game3 = reduce_graph(K4)
+    start = time.perf_counter()
+    worst = grid_audit_player3(game3, 16)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"K4 grid audit at resolution 16 took {elapsed:.2f} s"
+    assert worst == F(9, 8)
