@@ -37,6 +37,13 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_game(path: str) -> BimatrixGame:
     return core.game_from_json(_read_text(path))
 
@@ -149,7 +156,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     text = gpa.gpa_to_json(built)
     payload["gpa"] = json.loads(text)
     if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
+        _write_text(args.output, text)
         lines.append(f"wrote strategy to {args.output}")
     else:
         lines.append(text)
@@ -223,9 +230,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"follower average = {format_rational(follower_avg)}",
     ]
     if args.output:
-        Path(args.output).write_text(
-            core.transcript_to_json(transcript) + "\n", encoding="utf-8"
-        )
+        _write_text(args.output, core.transcript_to_json(transcript))
         lines.append(f"wrote transcript to {args.output}")
     _emit(args, payload, lines)
     return EXIT_OK
@@ -252,7 +257,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     game3 = hardness.reduce_graph(graph)
     text = game3.to_json()
     if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
+        _write_text(args.output, text)
     counts = game3.strategy_counts
     payload = json.loads(text)
     lines = [

@@ -86,21 +86,17 @@ class GamePlayingAlgorithm:
     history will do, and otherwise keeps the default history-as-state
     automaton: state () and `state + (pair,)`.  Output may depend only on
     the round and the state (plus construction-time randomness already baked
-    into the instance).  `n_actions` is the size of the owning
-    player's action set.
+    into the instance).  Each round is drawn afresh from `strategy_at(t,
+    state)`, so rounds share coins only through the state.  `n_actions` is
+    the size of the owning player's action set.
 
     Attributes:
         exact: the conditional distribution given any history is available
             as exact rationals (required by the best-response oracle).
-        randomness: "none" for deterministic-given-history strategies,
-            "per_round" for strategies that mix fresh randomness each round,
-            "correlated" for strategies whose rounds share random coins
-            (never produced here, rejected by the oracle).
     """
 
     kind: str = "abstract"
     exact: bool = True
-    randomness: str = "none"
 
     def __init__(self, n_actions: int):
         if n_actions < 1:
@@ -162,7 +158,6 @@ class PrescribedSequenceGPA(GamePlayingAlgorithm):
         self.game = game
         self.prescription = tuple(prescription)
         self.threat_strategy = threat_strategy
-        self.randomness = "none" if threat_strategy.is_pure() else "per_round"
 
     @property
     def horizon(self) -> int:
@@ -220,15 +215,14 @@ def build_deterministic_gpa(
     reward_rounds = horizon % cycle_length or cycle_length
     cycles = (horizon - reward_rounds) // cycle_length
     block = cycles * cycle_length
+    canonical = pair_ordering(game)
     counts: dict[ActionPair, int] = {}
-    prescription: list[ActionPair] = []
-    for pair in pair_ordering(game):
+    for pair in canonical:
         weight = solution.alpha[pair] * block
         assert weight.denominator == 1
         counts[pair] = int(weight)
-        prescription.extend([pair] * int(weight))
     reward_pair, _ = max_follower_pair(game)
-    prescription.extend([reward_pair] * reward_rounds)
+    prescription = _expand(canonical, counts) + (reward_pair,) * reward_rounds
     gpa = PrescribedSequenceGPA(game, prescription, solution.threat.strategy)
     params = CycleParameters(cycle_length, cycles, reward_rounds, counts)
     return gpa, params
@@ -414,7 +408,6 @@ class MultiplicativeWeightsGPA(GamePlayingAlgorithm):
 
     kind = "mw"
     exact = False
-    randomness = "per_round"
 
     def __init__(self, game: BimatrixGame, side: str, learning_rate: Fraction):
         if side not in ("leader", "follower"):
@@ -489,7 +482,6 @@ class ConstantGPA(GamePlayingAlgorithm):
     def __init__(self, strategy: MixedStrategy):
         super().__init__(len(strategy))
         self.strategy = strategy
-        self.randomness = "none" if strategy.is_pure() else "per_round"
 
     def strategy_at(self, t: int, history: History) -> MixedStrategy:
         return self.strategy
@@ -593,40 +585,24 @@ def _history_from_key(key: str) -> History:
 
 def gpa_to_json(gpa: GamePlayingAlgorithm) -> str:
     if isinstance(gpa, PrescribedSequenceGPA):
-        return stable_json(
-            {
-                "kind": "prescribed",
-                "prescription": [p.as_list() for p in gpa.prescription],
-                "threat": [format_rational(w) for w in gpa.threat_strategy.weights],
-            }
-        )
-    if isinstance(gpa, GrimTriggerGPA):
-        return stable_json(
-            {
-                "kind": "grim_trigger",
-                "cooperate": gpa.cooperate_pair.as_list(),
-                "punish_row": gpa.punish_row,
-            }
-        )
-    if isinstance(gpa, TwoPhaseDefectGPA):
-        return stable_json({"kind": "two_phase", "phase1_len": gpa.phase1_len})
-    if isinstance(gpa, MultiplicativeWeightsGPA):
-        return stable_json(
-            {
-                "kind": "mw",
-                "side": gpa.side,
-                "learning_rate": format_rational(gpa.learning_rate),
-            }
-        )
-    if isinstance(gpa, LookupTableGPA):
-        return stable_json(
-            {
-                "kind": "lookup",
-                "n_actions": gpa.n_actions,
-                "table": {history_key(h): a for h, a in gpa.table.items()},
-            }
-        )
-    raise InputError(f"cannot serialize strategy of kind {gpa.kind!r}")
+        data = {
+            "prescription": [p.as_list() for p in gpa.prescription],
+            "threat": [format_rational(w) for w in gpa.threat_strategy.weights],
+        }
+    elif isinstance(gpa, GrimTriggerGPA):
+        data = {"cooperate": gpa.cooperate_pair.as_list(), "punish_row": gpa.punish_row}
+    elif isinstance(gpa, TwoPhaseDefectGPA):
+        data = {"phase1_len": gpa.phase1_len}
+    elif isinstance(gpa, MultiplicativeWeightsGPA):
+        data = {"side": gpa.side, "learning_rate": format_rational(gpa.learning_rate)}
+    elif isinstance(gpa, LookupTableGPA):
+        data = {
+            "n_actions": gpa.n_actions,
+            "table": {history_key(h): a for h, a in gpa.table.items()},
+        }
+    else:
+        raise InputError(f"cannot serialize strategy of kind {gpa.kind!r}")
+    return stable_json({"kind": gpa.kind, **data})
 
 
 def gpa_from_json(text: str, game: BimatrixGame) -> GamePlayingAlgorithm:

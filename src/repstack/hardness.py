@@ -48,6 +48,10 @@ class BudgetExceeded(RuntimeError):
     """An exhaustive search was asked to exceed its configured budget."""
 
 
+# The balanced-cover search tries about 2^(n-1) vertex subsets.
+MAX_COVER_SEARCH_N = 20
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph; vertices are 1..n, edges unordered pairs."""
@@ -200,15 +204,16 @@ def reduce_graph(graph: Graph) -> ThreePlayerGame:
     return ThreePlayerGame(graph, tuple(mu1), tuple(mu2), tuple(mu3))
 
 
-def balanced_vertex_cover(graph: Graph, max_n: int = 20) -> tuple[int, ...] | None:
+def balanced_vertex_cover(graph: Graph) -> tuple[int, ...] | None:
     """Exhaustively search for a vertex cover of size at most floor(n/2).
 
     Returns the first cover in (size, lexicographic) order, or None when no
-    balanced cover exists.
+    balanced cover exists.  Graphs above `MAX_COVER_SEARCH_N` vertices raise
+    `BudgetExceeded`.
     """
-    if graph.n > max_n:
+    if graph.n > MAX_COVER_SEARCH_N:
         raise BudgetExceeded(
-            f"exhaustive cover search limited to n <= {max_n}, got n = {graph.n}"
+            f"exhaustive cover search limited to n <= {MAX_COVER_SEARCH_N}, got n = {graph.n}"
         )
     vertices = range(1, graph.n + 1)
     for size in range(0, graph.n // 2 + 1):
@@ -375,7 +380,6 @@ class ColoringLeaderGPA(GamePlayingAlgorithm):
     """
 
     kind = "coloring"
-    randomness = "per_round"
 
     def __init__(self, graph: Graph):
         if graph.n < 2:

@@ -117,10 +117,8 @@ def best_response(
     """
     if horizon < 1:
         raise InputError("horizon must be at least 1")
-    if leader.randomness == "correlated":
-        raise RandomnessContractViolation(
-            "leader strategies with cross-round correlated randomness are not supported"
-        )
+    if budget < 1:
+        raise InputError(f"state budget must be at least 1, got {budget}")
     if not leader.exact:
         raise RandomnessContractViolation(
             "best response requires the leader's exact conditional strategies"
@@ -189,17 +187,18 @@ def on_path_transcript(result: BestResponseResult, game: BimatrixGame) -> Transc
     """Realized play when the follower uses the oracle policy against the
     result's own leader, over the result's horizon.
 
-    Only defined for deterministic-given-history leaders, where play follows
-    a single path.
+    Only defined while the leader plays a pure strategy on the path, where
+    play follows a single path; raises `InputError` naming the first round
+    where the leader mixes.
     """
     leader = result.leader
-    if leader.randomness != "none":
-        raise InputError("on-path transcript requires a deterministic leader")
     state = leader.initial_state()
     pairs = []
     for t in range(len(result.decisions)):
-        (row,) = leader.strategy_at(t, state).support()
-        pair = ActionPair(row, result.decisions[t][state])
+        support = leader.strategy_at(t, state).support()
+        if len(support) != 1:
+            raise InputError(f"on-path transcript: the leader mixes at round {t + 1}")
+        pair = ActionPair(support[0], result.decisions[t][state])
         pairs.append(pair)
         state = leader.step(state, pair)
     return Transcript(tuple(pairs), game)
@@ -221,7 +220,7 @@ Verdict = Obeys | DeviationProfitableAt
 
 
 def verify_prescription(
-    gpa: PrescribedSequenceGPA, game: BimatrixGame, horizon: int | None = None
+    gpa: PrescribedSequenceGPA, game: BimatrixGame
 ) -> Obeys | DeviationProfitableAt:
     """Check round by round that obeying dominates the deviation bound.
 
@@ -231,10 +230,6 @@ def verify_prescription(
     bound fails, if any.  A failure here does not prove the true best
     response deviates, only that this linear check cannot certify obedience.
     """
-    if horizon is not None and horizon != gpa.horizon:
-        raise InputError(
-            f"horizon {horizon} does not match prescription length {gpa.horizon}"
-        )
     _, follower_best = max_follower_pair(game)
     threat_cap = max(
         gpa.threat_strategy.expected([game.m2[i][j] for i in range(game.rows)])
@@ -354,17 +349,14 @@ def external_regret(transcript: Transcript, game: BimatrixGame, side: str) -> Re
 
 
 def stackelberg_gap(
-    leader: GamePlayingAlgorithm,
-    game: BimatrixGame,
-    horizon: int,
-    budget: int = DEFAULT_STATE_BUDGET,
+    leader: GamePlayingAlgorithm, game: BimatrixGame, horizon: int
 ) -> Fraction:
     """Commitment-LP value minus the leader's oracle-evaluated average.
 
     The LP value upper-bounds every leader strategy's per-round value, so
     this never understates the optimality loss of the given strategy.
     """
-    result = best_response(leader, game, horizon, budget)
+    result = best_response(leader, game, horizon)
     return stackelberg_lp(game).value - result.leader_value / horizon
 
 

@@ -18,6 +18,7 @@ import pytest
 from repstack import (
     ActionPair,
     HorizonTooShort,
+    InputError,
     MixedStrategy,
     StateSpaceExceeded,
     best_response,
@@ -144,10 +145,13 @@ def test_best_response_matches_history_prefix_reference(case: int) -> None:
             assert best_response_to_json(result) == (
                 history_prefix_to_json(reference, leader, horizon)
             ), context
-            if leader.randomness == "none":
-                assert on_path_transcript(result, game) == (
-                    history_prefix_transcript(reference, leader, game, horizon)
-                ), context
+            try:
+                expected = history_prefix_transcript(reference, leader, game, horizon)
+            except ValueError:  # the leader mixes on the reference's path
+                with pytest.raises(InputError):
+                    on_path_transcript(result, game)
+            else:
+                assert on_path_transcript(result, game) == expected, context
             mixed_deviation |= leaves_script_under_mixed_threat(leader, on_path)
     assert kinds_seen == {
         "deterministic", "sampled", "shuffled", "grim", "two_phase", "constant", "lookup"

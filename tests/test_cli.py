@@ -140,6 +140,18 @@ def test_evaluate_budget_exceeded_names_the_horizon(pd_file, tmp_path, capsys) -
     assert "round 6" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_evaluate_budget_below_one_is_input_error(pd_file, tmp_path, capsys, budget) -> None:
+    """The initial state always counts, so a budget below 1 can never pass."""
+    out_path = tmp_path / "gpa.json"
+    assert main(["build", pd_file, "-T", "11", "-o", str(out_path)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", pd_file, str(out_path), "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: state budget must be at least 1, got {budget}" in captured.err
+
+
 def test_evaluate_single_column_long_horizon(tmp_path, capsys) -> None:
     """A horizon far past Python's recursion limit evaluates exactly."""
     game_path = tmp_path / "column.json"
@@ -195,6 +207,25 @@ def test_reduce_command(tmp_path, capsys) -> None:
     payload = json.loads(out_path.read_text())
     assert payload["strategy_counts"] == [4, 4, 9]
     assert payload["p3_actions"][0] == "t0"
+
+
+@pytest.mark.parametrize("command", ["build", "simulate", "reduce"])
+def test_unwritable_output_is_input_error(pd_file, tmp_path, capsys, command) -> None:
+    gpa_path = tmp_path / "gpa.json"
+    assert main(["build", pd_file, "-T", "11", "-o", str(gpa_path)]) == 0
+    graph_path = tmp_path / "c4.txt"
+    graph_path.write_text(CYCLE4)
+    capsys.readouterr()
+    missing = str(tmp_path / "missing" / "out.json")
+    argv = {
+        "build": ["build", pd_file, "-T", "11", "-o", missing],
+        "simulate": ["simulate", pd_file, str(gpa_path), "-o", missing],
+        "reduce": ["reduce", str(graph_path), "-o", missing],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {missing}: ")
 
 
 def test_audit_vc_cycle4(tmp_path, capsys) -> None:

@@ -292,6 +292,33 @@ def test_gpa_serialization_round_trips(pd_game) -> None:
     assert loaded.threat_strategy == built.threat_strategy
 
 
+def test_gpa_to_json_bytes(pd_game) -> None:
+    """The exact bytes of one strategy of each serializable kind."""
+    built, _ = build_deterministic_gpa(pd_game, 11)
+    cases = [
+        (
+            built,
+            '{"kind":"prescribed","prescription":[[2,1],[2,1],[2,1],[2,1],[2,1],[2,1],'
+            '[1,1],[1,1],[1,1],[1,2],[1,2]],"threat":["0","1"]}',
+        ),
+        (
+            grim_trigger(pd_game, ActionPair(1, 1), 2),
+            '{"cooperate":[1,1],"kind":"grim_trigger","punish_row":2}',
+        ),
+        (two_phase_defect_gpa(pd_game, 3), '{"kind":"two_phase","phase1_len":3}'),
+        (
+            multiplicative_weights(pd_game, "follower", F(1, 7)),
+            '{"kind":"mw","learning_rate":"1/7","side":"follower"}',
+        ),
+        (
+            lookup_table_gpa({(): 1, (ActionPair(1, 2),): 2}, 2),
+            '{"kind":"lookup","n_actions":2,"table":{"":1,"1,2":2}}',
+        ),
+    ]
+    for gpa, expected in cases:
+        assert gpa_to_json(gpa) == expected
+
+
 @pytest.mark.parametrize(
     "construct",
     [

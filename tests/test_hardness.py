@@ -110,7 +110,7 @@ def test_balanced_vertex_cover_examples() -> None:
 
 def test_balanced_vertex_cover_budget() -> None:
     with pytest.raises(BudgetExceeded):
-        balanced_vertex_cover(Graph(25, ()), max_n=20)
+        balanced_vertex_cover(Graph(25, ()))
 
 
 def _bitmask_balanced_cover(graph: Graph) -> bool:

@@ -10,6 +10,8 @@ import pytest
 from repstack import (
     ActionPair,
     DeviationProfitableAt,
+    Graph,
+    InputError,
     MixedStrategy,
     Obeys,
     RandomnessContractViolation,
@@ -19,6 +21,7 @@ from repstack import (
     best_response,
     build_deterministic_gpa,
     build_sampled_gpa,
+    coloring_leader_gpa,
     constant_gpa,
     external_regret,
     game_value,
@@ -65,6 +68,29 @@ def test_best_response_deterministic_construction_pd(pd_game) -> None:
     assert result.follower_value / 11 == F(19, 55)
 
 
+def test_on_path_transcript_under_a_mixed_threat_that_never_fires(pd_game) -> None:
+    """Purity is checked round by round on the path, not declared: obeying
+    the PD script is optimal against this mixed threat, so the path is the
+    script and the threat never mixes on it."""
+    built, _ = build_deterministic_gpa(pd_game, 11)
+    leader = PrescribedSequenceGPA(
+        pd_game, built.prescription, MixedStrategy((F(1, 10), F(9, 10)))
+    )
+    result = best_response(leader, pd_game, 11)
+    assert on_path_transcript(result, pd_game).pairs == built.prescription
+
+
+def test_on_path_transcript_names_the_first_mixed_round(pd_game) -> None:
+    result = best_response(constant_gpa(MixedStrategy.uniform(2)), pd_game, 3)
+    with pytest.raises(InputError, match="mixes at round 1$"):
+        on_path_transcript(result, pd_game)
+    # The coloring leader plays action 1 until its final round, then mixes.
+    leader, game = coloring_leader_gpa(Graph(3, ((1, 2), (2, 3))))
+    result = best_response(leader, game, 3)
+    with pytest.raises(InputError, match="mixes at round 3$"):
+        on_path_transcript(result, game)
+
+
 def test_best_response_single_round_myopic() -> None:
     game = validate_game([[1, -1], [-1, 1]], [[-1, 1], [1, -1]])
     leader = constant_gpa(MixedStrategy.uniform(2))
@@ -77,13 +103,6 @@ def test_best_response_rejects_inexact_leader(pd_game) -> None:
     mw = multiplicative_weights(pd_game, "leader", F(1, 10))
     with pytest.raises(RandomnessContractViolation):
         best_response(mw, pd_game, 2)
-
-
-def test_best_response_rejects_correlated_randomness(pd_game) -> None:
-    leader = constant_gpa(MixedStrategy.uniform(2))
-    leader.randomness = "correlated"
-    with pytest.raises(RandomnessContractViolation):
-        best_response(leader, pd_game, 2)
 
 
 def test_best_response_state_budget(pd_game) -> None:
@@ -176,13 +195,6 @@ def test_verify_prescription_single_round_best_pair(pd_game) -> None:
         pd_game, (ActionPair(1, 2),), threat(pd_game).strategy
     )
     assert isinstance(verify_prescription(gpa, pd_game), Obeys)
-
-
-def test_verify_prescription_horizon_check(pd_game) -> None:
-    gpa, _ = build_deterministic_gpa(pd_game, 11)
-    assert isinstance(verify_prescription(gpa, pd_game, 11), Obeys)
-    with pytest.raises(Exception):
-        verify_prescription(gpa, pd_game, 10)
 
 
 def test_constructed_gpas_always_verify_and_match_oracle(pd_game) -> None:
