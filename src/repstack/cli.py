@@ -220,7 +220,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     transcript = oracle.simulate(leader, follower, game, horizon, args.seed)
     leader_avg, follower_avg = core.average_payoffs(transcript)
     payload = {
-        "pairs": [p.as_list() for p in transcript.pairs],
+        "pairs": transcript.pairs,
         "leader_average": format_rational(leader_avg),
         "follower_average": format_rational(follower_avg),
     }

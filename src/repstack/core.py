@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 
 class InputError(ValueError):
@@ -72,15 +72,15 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True, order=True)
-class ActionPair:
-    """A joint action: leader row and follower column, both 1-based."""
+class ActionPair(NamedTuple):
+    """A joint action: leader row and follower column, both 1-based.
+
+    A tuple, so hashing, comparison and JSON encoding (as `[row, col]`) run
+    in C, and a pair equals the plain tuple `(row, col)`.
+    """
 
     row: int
     col: int
-
-    def as_list(self) -> list[int]:
-        return [self.row, self.col]
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,8 @@ class Transcript:
     game: BimatrixGame
 
     def __post_init__(self) -> None:
-        for pair in self.pairs:
+        # Each distinct pair once, in order of first occurrence.
+        for pair in dict.fromkeys(self.pairs):
             if not self.game.contains(pair):
                 raise InputError(f"pair {pair} out of bounds for game")
 
@@ -309,7 +310,7 @@ def game_from_json(text: str) -> BimatrixGame:
 
 
 def transcript_to_json(transcript: Transcript) -> str:
-    return stable_json({"pairs": [p.as_list() for p in transcript.pairs]})
+    return stable_json({"pairs": transcript.pairs})
 
 
 def parse_integer(value: object) -> int:

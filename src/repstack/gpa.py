@@ -137,6 +137,12 @@ class PrescribedSequenceGPA(GamePlayingAlgorithm):
     Before the follower has ever departed from the scripted column, round t
     plays the scripted leader row.  From the first deviation on, every round
     plays the threat strategy.  The state is (rounds played, triggered).
+
+    `runs` is the script run-length encoded: (pair, count) for each maximal
+    block of equal consecutive pairs.  Both constructions emit sorted
+    blocks, so a script has at most rows*cols + 1 runs, and work that
+    depends only on the pairs (validation, `verify_prescription`, JSON) is
+    done once per run.
     """
 
     kind = "prescribed"
@@ -148,20 +154,20 @@ class PrescribedSequenceGPA(GamePlayingAlgorithm):
         threat_strategy: MixedStrategy,
     ):
         super().__init__(game.rows)
-        if not prescription:
+        self.prescription = tuple(prescription)
+        if not self.prescription:
             raise InputError("prescription must cover at least one round")
-        for pair in prescription:
+        self.runs = tuple(
+            (pair, len(list(block))) for pair, block in itertools.groupby(self.prescription)
+        )
+        for pair, _ in self.runs:
             if not game.contains(pair):
                 raise InputError(f"prescribed pair {pair} out of bounds")
         if len(threat_strategy) != game.rows:
             raise InputError("threat strategy must range over leader rows")
         self.game = game
-        self.prescription = tuple(prescription)
         self.threat_strategy = threat_strategy
-
-    @property
-    def horizon(self) -> int:
-        return len(self.prescription)
+        self.horizon = len(self.prescription)
 
     def initial_state(self) -> tuple[int, bool]:
         return 0, False
@@ -585,12 +591,12 @@ def _history_from_key(key: str) -> History:
 
 def gpa_to_json(gpa: GamePlayingAlgorithm) -> str:
     if isinstance(gpa, PrescribedSequenceGPA):
-        data = {
-            "prescription": [p.as_list() for p in gpa.prescription],
-            "threat": [format_rational(w) for w in gpa.threat_strategy.weights],
-        }
-    elif isinstance(gpa, GrimTriggerGPA):
-        data = {"cooperate": gpa.cooperate_pair.as_list(), "punish_row": gpa.punish_row}
+        # The bytes `stable_json` would write, with each run's pair encoded once.
+        script = ",".join(",".join([stable_json(pair)] * count) for pair, count in gpa.runs)
+        threat = stable_json([format_rational(w) for w in gpa.threat_strategy.weights])
+        return f'{{"kind":{stable_json(gpa.kind)},"prescription":[{script}],"threat":{threat}}}'
+    if isinstance(gpa, GrimTriggerGPA):
+        data = {"cooperate": gpa.cooperate_pair, "punish_row": gpa.punish_row}
     elif isinstance(gpa, TwoPhaseDefectGPA):
         data = {"phase1_len": gpa.phase1_len}
     elif isinstance(gpa, MultiplicativeWeightsGPA):
@@ -625,8 +631,8 @@ def gpa_from_json(text: str, game: BimatrixGame) -> GamePlayingAlgorithm:
 
 def _gpa_from_data(kind: object, data: dict, game: BimatrixGame) -> GamePlayingAlgorithm:
     if kind == "prescribed":
-        prescription = [parse_pair(entry) for entry in data["prescription"]]
-        weights = tuple(parse_rational(w) for w in data["threat"])
+        prescription = _parse_script(_json_list(data, "prescription"))
+        weights = tuple(parse_rational(w) for w in _json_list(data, "threat"))
         return PrescribedSequenceGPA(game, prescription, MixedStrategy(weights))
     if kind == "grim_trigger":
         return GrimTriggerGPA(game, parse_pair(data["cooperate"]), parse_integer(data["punish_row"]))
@@ -640,3 +646,32 @@ def _gpa_from_data(kind: object, data: dict, game: BimatrixGame) -> GamePlayingA
         table = {_history_from_key(k): parse_integer(a) for k, a in data["table"].items()}
         return LookupTableGPA(table, parse_integer(data["n_actions"]))
     raise InputError(f"unknown strategy kind {kind!r}")
+
+
+def _json_list(data: dict, key: str) -> list:
+    value = data[key]
+    if not isinstance(value, list):
+        raise InputError(f"{key!r} must be a JSON list, got {value!r}")
+    return value
+
+
+def _parse_script(entries: list) -> tuple[ActionPair, ...]:
+    """`parse_pair` over each entry, once per run of equal entries.
+
+    A run is parsed once only when every entry in it is a list of two exact
+    ints: `[1, true]` and `[1, 1.0]` equal `[1, 1]` but are errors.  Any
+    other run is parsed entry by entry, so the first bad entry names itself.
+    """
+    script: list[ActionPair] = []
+    for first, block in itertools.groupby(entries):
+        block = list(block)
+        # Only a list equals a list, so when `first` is one, all of `block` are.
+        if (
+            type(first) is list
+            and len(first) == 2
+            and set(map(type, itertools.chain.from_iterable(block))) == {int}
+        ):
+            script += itertools.repeat(ActionPair(*first), len(block))
+        else:
+            script += map(parse_pair, block)
+    return tuple(script)

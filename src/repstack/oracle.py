@@ -9,12 +9,12 @@ iteratively, so the horizon meets no recursion limit.  Everything downstream
 answer, so it fails loudly when the state space exceeds its budget rather
 than truncating.
 
-`verify_prescription` is the linear-time check that obeying a prescribed
-sequence is optimal: at every round the scripted suffix must be worth at
-least one round of the follower's global best payoff plus threat-capped
-payoffs thereafter.  It runs as one backward pass over payoffs scaled to
-integers.  The check is sound but conservative; `best_response` is the
-complete fallback.
+`verify_prescription` is the check that obeying a prescribed sequence is
+optimal: at every round the scripted suffix must be worth at least one round
+of the follower's global best payoff plus threat-capped payoffs thereafter.
+It runs as one backward pass over the script's runs, with payoffs scaled to
+integers, so it costs O(runs), not O(T).  The check is sound but
+conservative; `best_response` is the complete fallback.
 """
 
 from __future__ import annotations
@@ -237,18 +237,31 @@ def verify_prescription(
     )
     # Round t fails when its suffix S_t falls below m + cap * (T - t).  Going
     # back one round adds the round's payoff to S_t and one cap to the bound,
-    # so the running margin S_t - cap * (T - t) grows by (payoff - cap).  All
-    # of it is scaled to integers once.
+    # so the running margin S_t - cap * (T - t) grows by s = (payoff - cap).
+    # All of it is scaled to integers once.  Within a run of one pair s is
+    # fixed: entering the run from its last round with margin M, round
+    # end + 1 - k has margin M + s*k for k = 1..count, so the run is folded
+    # in closed form.  The pass goes backward, and the last failure it
+    # records is the first round that fails.
     scale = math.lcm(game.granularity, threat_cap.denominator)
     cap = int(threat_cap * scale)
     step = [[int(v * scale) - cap for v in row] for row in game.m2]
     best = int(follower_best * scale)
     margin = cap
     first_failure = None
-    for t, pair in zip(range(gpa.horizon, 0, -1), reversed(gpa.prescription)):
-        margin += step[pair.row - 1][pair.col - 1]
-        if margin < best:
-            first_failure = t
+    end = gpa.horizon
+    for pair, count in reversed(gpa.runs):
+        s = step[pair.row - 1][pair.col - 1]
+        if margin + s * count < best:
+            # The run's first round fails: the margin there is the lowest
+            # when s <= 0, and with s > 0 every round of the run fails.
+            first_failure = end + 1 - count
+        elif margin + s < best:
+            # s > 0: rounds k = 1 .. (best - M - 1) // s fail, and the
+            # largest such k is the earliest failing round of the run.
+            first_failure = end + 1 - (best - margin - 1) // s
+        margin += s * count
+        end -= count
     if first_failure is None:
         return Obeys()
     return DeviationProfitableAt(first_failure)

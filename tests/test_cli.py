@@ -291,6 +291,44 @@ def test_malformed_strategy_file_exits_2(pd_file, tmp_path, capsys, command, str
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "strategy, key",
+    [
+        ('{"kind":"prescribed","prescription":[[1,1]],"threat":"01"}', "threat"),
+        ('{"kind":"prescribed","prescription":[[1,1]],"threat":{"0":1,"1":0}}', "threat"),
+        ('{"kind":"prescribed","prescription":"ab","threat":["0","1"]}', "prescription"),
+    ],
+)
+def test_prescribed_file_needs_list_values(pd_file, tmp_path, capsys, strategy, key) -> None:
+    """A string or object is not read as the list of its characters or keys."""
+    gpa_path = tmp_path / "gpa.json"
+    gpa_path.write_text(strategy)
+    assert main(["evaluate", pd_file, str(gpa_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key!r} must be a JSON list")
+
+
+# Exit code and stderr recorded when every entry was parsed on its own.
+@pytest.mark.parametrize(
+    "prescription, err",
+    [
+        ("[[1,1],[1,true]]", "error: expected an integer, got True\n"),
+        ("[[1,1],[1,1.0]]", "error: expected an integer, got 1.0\n"),
+        ("[[1,1],[1]]", "error: expected a [row, col] pair, got [1]\n"),
+        ('[[1,1],"ab"]', "error: expected a [row, col] pair, got 'ab'\n"),
+        ("[[1,1],[1,2,3]]", "error: expected a [row, col] pair, got [1, 2, 3]\n"),
+        ("[[1,1],5]", "error: expected a [row, col] pair, got 5\n"),
+        ("[5,5]", "error: expected a [row, col] pair, got 5\n"),
+    ],
+)
+def test_malformed_prescription_entry_message(pd_file, tmp_path, capsys, prescription, err) -> None:
+    gpa_path = tmp_path / "gpa.json"
+    gpa_path.write_text(f'{{"kind":"prescribed","prescription":{prescription},"threat":["0","1"]}}')
+    assert main(["evaluate", pd_file, str(gpa_path)]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize("game", ['{"M1": 5, "M2": 5}', '{"M1": [5], "M2": [5]}'])
 def test_malformed_game_file_exits_2(tmp_path, capsys, game) -> None:
     path = tmp_path / "game.json"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from repstack import (
     transcript_to_json,
     validate_game,
 )
+from repstack.gpa import PrescribedSequenceGPA
 
 rationals = st.fractions(
     min_value=-(10**9), max_value=10**9, max_denominator=10**9
@@ -193,3 +196,32 @@ def test_transcript_json_round_trip(pd_game) -> None:
     text = transcript_to_json(transcript)
     assert text == '{"pairs":[[1,1],[2,2]]}'
     assert transcript_from_json(text, pd_game).pairs == transcript.pairs
+
+
+def test_action_pair_hashes_compares_and_prints_as_before() -> None:
+    for row, col in [(1, 1), (1, 2), (2, 1), (7, 3)]:
+        assert hash(ActionPair(row, col)) == hash((row, col))
+        assert ActionPair(row, col) == (row, col)
+    assert repr(ActionPair(1, 2)) == "ActionPair(row=1, col=2)"
+    assert json.dumps(ActionPair(2, 3)) == "[2, 3]"
+
+
+def test_game_pairs_are_row_major_which_is_sorted_order() -> None:
+    game = validate_game([[0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0]])
+    pairs = list(game.pairs())
+    assert pairs == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+    shuffled = pairs[:]
+    random.Random(0).shuffle(shuffled)
+    assert sorted(shuffled) == pairs
+
+
+def test_out_of_bounds_names_the_first_bad_pair_in_script_order(pd_game) -> None:
+    # (3, 2) comes first in the script; (1, 3) comes first in sorted order and
+    # (3, 1) first when iterating a set of these pairs.
+    script = tuple(ActionPair(*p) for p in [(1, 1), (3, 2), (1, 3), (3, 1), (2, 5), (3, 2)])
+    with pytest.raises(InputError) as transcript_error:
+        Transcript(script, pd_game)
+    assert str(transcript_error.value) == "pair ActionPair(row=3, col=2) out of bounds for game"
+    with pytest.raises(InputError) as gpa_error:
+        PrescribedSequenceGPA(pd_game, script, MixedStrategy.pure(2, 2))
+    assert str(gpa_error.value) == "prescribed pair ActionPair(row=3, col=2) out of bounds"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,7 +13,9 @@ import pytest
 from repstack import (
     ActionPair,
     HorizonTooShort,
+    InputError,
     MissingEntry,
+    MixedStrategy,
     Transcript,
     average_payoffs,
     build_deterministic_gpa,
@@ -29,7 +33,8 @@ from repstack import (
     validate_game,
 )
 from repstack import lp
-from repstack.gpa import ExactStrategyUnavailable
+from repstack.core import parse_pair
+from repstack.gpa import ExactStrategyUnavailable, PrescribedSequenceGPA
 from conftest import random_game
 
 F = Fraction
@@ -317,6 +322,75 @@ def test_gpa_to_json_bytes(pd_game) -> None:
     ]
     for gpa, expected in cases:
         assert gpa_to_json(gpa) == expected
+
+
+def _shuffled_pd_script(game) -> PrescribedSequenceGPA:
+    built, _ = build_deterministic_gpa(game, 4097)
+    script = list(built.prescription)
+    random.Random(0).shuffle(script)
+    return PrescribedSequenceGPA(game, script, built.threat_strategy)
+
+
+# sha256 of the `gpa_to_json` bytes, recorded when every round's pair was
+# encoded on its own; encoding each run once must give the same bytes.
+@pytest.mark.parametrize(
+    ("construct", "digest"),
+    [
+        (
+            lambda game: build_deterministic_gpa(game, 4097)[0],
+            "1cc5974269ab457638a56d178d4317f7bf1e56f6278600b54d634119055f9e7f",
+        ),
+        (
+            lambda game: sample_prescription(game, 4097, 0).gpa,
+            "53121e9a107fb024cdbfdf0d742caccf8eace8cdf8b75f89692456595e53c14b",
+        ),
+        (_shuffled_pd_script, "93b384cf4c7a6207f4eb76fb527c446fe2959a01492541e777acade6e1a8e5bf"),
+    ],
+    ids=["deterministic", "sampled", "shuffled"],
+)
+def test_gpa_to_json_digest_and_round_trip(pd_game, construct, digest) -> None:
+    built = construct(pd_game)
+    text = gpa_to_json(built)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    loaded = gpa_from_json(text, pd_game)
+    assert loaded.prescription == built.prescription
+    assert loaded.runs == built.runs
+
+
+def test_prescription_parse_matches_entry_by_entry(pd_game) -> None:
+    """Runs of equal entries parse to the pairs, or fail with the error, that
+    `parse_pair` on every entry gives, also where `[1, true]` or `[1, 1.0]`
+    equals `[1, 1]`."""
+    good = [[1, 1], [1, 2], [2, 1], [2, 2]]
+    bad = [[1, True], [True, 1], [1, 1.0], [1], [1, 2, 3], [1, "1"], [3, 1], "ab", 5, None, {"a": 1}]
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(400):
+        entries = []
+        for _ in range(rng.randint(1, 6)):
+            value = rng.choice(bad) if rng.random() < 0.15 else rng.choice(good)
+            entries += [value] * rng.randint(1, 4)
+        text = json.dumps({"kind": "prescribed", "prescription": entries, "threat": ["0", "1"]})
+        try:
+            expected = [parse_pair(entry) for entry in json.loads(text)["prescription"]]
+            expected = PrescribedSequenceGPA(pd_game, expected, MixedStrategy.pure(2, 2)).prescription
+        except InputError as exc:
+            expected = str(exc)
+        try:
+            actual = gpa_from_json(text, pd_game).prescription
+        except InputError as exc:
+            actual = str(exc)
+        assert actual == expected, entries
+        outcomes.add(type(expected))
+    assert outcomes == {tuple, str}
+
+
+def test_prescription_runs(pd_game) -> None:
+    built, _ = build_deterministic_gpa(pd_game, 11)
+    assert built.runs == ((ActionPair(2, 1), 6), (ActionPair(1, 1), 3), (ActionPair(1, 2), 2))
+    assert built.horizon == 11
+    alternating = PrescribedSequenceGPA(pd_game, [ActionPair(1, 1), ActionPair(2, 2)] * 2, built.threat_strategy)
+    assert alternating.runs == tuple((pair, 1) for pair in alternating.prescription)
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ the sampler's output may do, run `PYTHONPATH=src python tests/test_sampling.py`.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -21,6 +22,7 @@ import pytest
 
 from repstack import (
     ActionPair,
+    DeviationProfitableAt,
     MixedStrategy,
     Obeys,
     Transcript,
@@ -254,6 +256,88 @@ def test_verify_prescription_matches_fraction_reference(block: int) -> None:
             gpa = PrescribedSequenceGPA(game, script, threat_strategy)
             expected = fraction_verify_prescription(gpa, game)
             assert verify_prescription(gpa, game) == expected
+            verdicts[isinstance(expected, Obeys)] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+# Follower payoffs scaled by 4 are 4, 0, 2, 1.  Against the pure threat on row
+# 2 the cap is 2 (scaled), so the per-round margin steps are +2, -2, 0 and -1;
+# against the uniform threat the cap is 3 and the steps are +1, -3, -1, -2.
+# The follower's best payoff is 4 in both.
+FOLD_GAME = ([[0, 0], [0, 0]], [[1, 0], ["1/2", "1/4"]])
+FOLD_THREATS = {"row-2": (0, 1), "uniform": (Fraction(1, 2), Fraction(1, 2))}
+
+
+def _fold_gpa(script, threat_name: str) -> PrescribedSequenceGPA:
+    game = validate_game(*FOLD_GAME)
+    threat_strategy = MixedStrategy(tuple(map(Fraction, FOLD_THREATS[threat_name])))
+    return PrescribedSequenceGPA(game, [ActionPair(*pair) for pair in script], threat_strategy)
+
+
+def test_verify_prescription_folds_runs_like_the_fraction_reference() -> None:
+    """A head, one long run, then a tail that sets the margin entering the run.
+
+    The tail's length and mix sweep that margin over every integer from 4
+    down to -23, so the run's first failing round lands on every offset of a
+    run with a positive step, and at the run's first round for the others.
+    """
+    offsets = {}
+    for threat_name in FOLD_THREATS:
+        for head in ((), ((2, 2),), ((1, 2), (1, 2))):
+            for pair in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                for length in (1, 2, 12):
+                    for a, b, c in itertools.product(range(3), range(13), range(2)):
+                        script = head + (pair,) * length + ((1, 2),) * b + ((2, 2),) * c + ((1, 1),) * a
+                        gpa = _fold_gpa(script, threat_name)
+                        expected = fraction_verify_prescription(gpa, gpa.game)
+                        assert verify_prescription(gpa, gpa.game) == expected, script
+                        if isinstance(expected, DeviationProfitableAt):
+                            offset = expected.round - len(head) - 1
+                            if 0 <= offset < length:
+                                offsets.setdefault((threat_name, pair, length), set()).add(offset)
+    # Positive step (+2 and +1): a failure at every offset of the long run.
+    assert offsets["row-2", (1, 1), 12] == set(range(12))
+    assert offsets["uniform", (1, 1), 12] == set(range(12))
+    # Zero and negative steps: the run fails at its first round or not at all.
+    for pair in ((1, 2), (2, 1), (2, 2)):
+        assert offsets["row-2", pair, 12] == {0}
+        assert offsets["uniform", pair, 12] == {0}
+
+
+def test_verify_prescription_zero_step_run_at_the_bound() -> None:
+    # (2, 1) steps 0 against the row-2 threat; after a final (1, 1) the
+    # margin is exactly the bound 4, which passes, and one below it fails.
+    gpa = _fold_gpa(((2, 1),) * 12 + ((1, 1),), "row-2")
+    assert verify_prescription(gpa, gpa.game) == Obeys()
+    gpa = _fold_gpa(((2, 1),) * 12 + ((2, 2), (1, 1)), "row-2")
+    assert verify_prescription(gpa, gpa.game) == DeviationProfitableAt(1)
+
+
+def test_verify_prescription_positive_run_fails_partway() -> None:
+    # Entering the (1, 1) run with margin 2 - 2*4 = -6, rounds k = 1..4 from
+    # the run's end fail (margin -4, -2, 0, 2) and k >= 5 pass, so the first
+    # failure is the fourth round from the end of the run: round 9 of 16.
+    gpa = _fold_gpa(((1, 1),) * 12 + ((1, 2),) * 4, "row-2")
+    assert verify_prescription(gpa, gpa.game) == DeviationProfitableAt(9)
+    assert fraction_verify_prescription(gpa, gpa.game) == DeviationProfitableAt(9)
+
+
+def test_verify_prescription_single_round_runs() -> None:
+    rng = random.Random(6400)
+    pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    verdicts = Counter()
+    for threat_name in FOLD_THREATS:
+        for pair in pairs:  # T = 1
+            gpa = _fold_gpa((pair,), threat_name)
+            assert verify_prescription(gpa, gpa.game) == fraction_verify_prescription(gpa, gpa.game)
+        for _ in range(300):
+            script = [rng.choice(pairs)]
+            for _ in range(rng.randint(1, 40)):
+                script.append(rng.choice([p for p in pairs if p != script[-1]]))
+            gpa = _fold_gpa(script, threat_name)
+            assert all(count == 1 for _, count in gpa.runs)
+            expected = fraction_verify_prescription(gpa, gpa.game)
+            assert verify_prescription(gpa, gpa.game) == expected
             verdicts[isinstance(expected, Obeys)] += 1
     assert verdicts[True] and verdicts[False]
 
