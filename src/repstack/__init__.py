@@ -30,22 +30,18 @@ from .core import (
 )
 from .gpa import (
     CycleParameters,
+    ExactStrategyUnavailable,
     GamePlayingAlgorithm,
     HorizonTooShort,
     MissingEntry,
     PrescribedSequenceGPA,
     build_deterministic_gpa,
-    build_sampled_gpa,
-    constant_gpa,
     gpa_from_json,
     gpa_to_json,
-    grim_trigger,
-    lookup_table_gpa,
     multiplicative_weights,
     myopic_best_responder,
     prescription_follower,
     sample_prescription,
-    two_phase_defect_gpa,
 )
 from .hardness import (
     BudgetExceeded,
@@ -79,7 +75,6 @@ from .oracle import (
     BestResponseResult,
     DeviationProfitableAt,
     Obeys,
-    RandomnessContractViolation,
     RegretReport,
     StateSpaceExceeded,
     best_response,

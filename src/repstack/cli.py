@@ -98,7 +98,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     }
     payload = {
         "opt": format_rational(solution.value),
-        "threat_value": format_rational(solution.threat_value),
+        "threat_value": format_rational(solution.threat.value),
         "alpha": support,
     }
     lines = [f"OPT_LP = {format_rational(solution.value)}"]
@@ -214,9 +214,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.follower == "obedient":
         if not isinstance(leader, gpa.PrescribedSequenceGPA):
             raise InputError("obedient follower needs a prescribed-sequence strategy")
-        follower = gpa.prescription_follower(leader.prescription, game.cols)
+        follower = gpa.PrescriptionFollower(leader.prescription, game.cols)
     else:
-        follower = gpa.myopic_best_responder(game, leader)
+        follower = gpa.MyopicBestResponder(game, leader)
     transcript = oracle.simulate(leader, follower, game, horizon, args.seed)
     leader_avg, follower_avg = core.average_payoffs(transcript)
     payload = {
@@ -275,8 +275,8 @@ def cmd_audit_vc(args: argparse.Namespace) -> int:
     if args.resolution < 1:
         raise InputError("resolution must be at least 1")
     graph = _load_graph(args.graph)
-    game3 = hardness.reduce_graph(graph)
     cover = hardness.balanced_vertex_cover(graph)
+    game3 = hardness.reduce_graph(graph)
     if cover is not None:
         p1, p2 = hardness.cover_strategies(graph, cover)
         action, value = hardness.player3_audit(game3, p1, p2)

@@ -130,9 +130,6 @@ class MixedStrategy:
             self.__dict__["_support"] = support
         return support
 
-    def is_pure(self) -> bool:
-        return any(w == 1 for w in self.weights)
-
     def expected(self, values: Sequence[Fraction]) -> Fraction:
         """Exact expectation of one value per action."""
         if len(values) != len(self.weights):

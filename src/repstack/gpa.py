@@ -14,7 +14,7 @@ Two constructions build prescribed-sequence automata from the commitment LP:
   cycles of length N (the LCM of the probability denominators) and finishes
   with reward rounds at the follower's best pair, achieving the LP value to
   within 2N/T on the obedient transcript.
-* `build_sampled_gpa` draws the sequence i.i.d. from the LP distribution,
+* `sample_prescription` draws the sequence i.i.d. from the LP distribution,
   repairs the follower's average up to the threat value by swapping in the
   follower's best pair, and appends one final reward round.  Its guarantee is
   independent of the number of actions but degrades as T^-0.25.
@@ -116,19 +116,6 @@ class GamePlayingAlgorithm:
     def probabilities_at(self, t: int, state: State) -> list[float]:
         """Float view of `strategy_at` (simulation only)."""
         return [float(w) for w in self.strategy_at(t, state).weights]
-
-    def _state_after(self, history: History) -> State:
-        state = self.initial_state()
-        for pair in history:
-            state = self.step(state, pair)
-        return state
-
-    def round_strategy(self, history: History) -> MixedStrategy:
-        return self.strategy_at(len(history), self._state_after(history))
-
-    def round_probabilities(self, history: History) -> list[float]:
-        """Float view of the current conditional strategy (simulation only)."""
-        return self.probabilities_at(len(history), self._state_after(history))
 
 
 class PrescribedSequenceGPA(GamePlayingAlgorithm):
@@ -326,12 +313,6 @@ def _expand(order: Sequence[ActionPair], counts: Mapping[ActionPair, int]) -> tu
     return tuple(itertools.chain.from_iterable(itertools.repeat(p, counts[p]) for p in order))
 
 
-def build_sampled_gpa(
-    game: BimatrixGame, horizon: int, seed: int
-) -> PrescribedSequenceGPA:
-    return sample_prescription(game, horizon, seed).gpa
-
-
 class GrimTriggerGPA(GamePlayingAlgorithm):
     """Cooperate until the follower's first departure, then punish forever.
 
@@ -359,12 +340,6 @@ class GrimTriggerGPA(GamePlayingAlgorithm):
     def strategy_at(self, t: int, state: bool) -> MixedStrategy:
         row = self.punish_row if state else self.cooperate_pair.row
         return MixedStrategy.pure(row, self.n_actions)
-
-
-def grim_trigger(
-    game: BimatrixGame, cooperate_pair: ActionPair, punish_row: int
-) -> GrimTriggerGPA:
-    return GrimTriggerGPA(game, cooperate_pair, punish_row)
 
 
 class TwoPhaseDefectGPA(GamePlayingAlgorithm):
@@ -396,10 +371,6 @@ class TwoPhaseDefectGPA(GamePlayingAlgorithm):
         if state or t < self.phase1_len:
             return MixedStrategy.pure(2, self.n_actions)
         return MixedStrategy.pure(1, self.n_actions)
-
-
-def two_phase_defect_gpa(game: BimatrixGame, phase1_len: int) -> TwoPhaseDefectGPA:
-    return TwoPhaseDefectGPA(game, phase1_len)
 
 
 class MultiplicativeWeightsGPA(GamePlayingAlgorithm):
@@ -448,7 +419,7 @@ class MultiplicativeWeightsGPA(GamePlayingAlgorithm):
         )
 
 
-def multiplicative_weights(
+def multiplicative_weights(  # kept: perfbench/workloads.py calls it
     game: BimatrixGame, side: str, learning_rate: Fraction
 ) -> MultiplicativeWeightsGPA:
     return MultiplicativeWeightsGPA(game, side, learning_rate)
@@ -475,10 +446,6 @@ class LookupTableGPA(GamePlayingAlgorithm):
         return MixedStrategy.pure(action, self.n_actions)
 
 
-def lookup_table_gpa(table: Mapping[History, int], n_actions: int) -> LookupTableGPA:
-    return LookupTableGPA(table, n_actions)
-
-
 class ConstantGPA(GamePlayingAlgorithm):
     """Play one fixed mixed strategy every round, independent of history.
     Its state is the history: a mixed one reaches exponentially many."""
@@ -491,10 +458,6 @@ class ConstantGPA(GamePlayingAlgorithm):
 
     def strategy_at(self, t: int, history: History) -> MixedStrategy:
         return self.strategy
-
-
-def constant_gpa(strategy: MixedStrategy) -> ConstantGPA:
-    return ConstantGPA(strategy)
 
 
 class PrescriptionFollower(GamePlayingAlgorithm):
@@ -521,7 +484,7 @@ class PrescriptionFollower(GamePlayingAlgorithm):
         return MixedStrategy.pure(self.prescription[t].col, self.n_actions)
 
 
-def prescription_follower(
+def prescription_follower(  # kept: perfbench/workloads.py calls it
     prescription: Sequence[ActionPair], n_actions: int
 ) -> PrescriptionFollower:
     return PrescriptionFollower(prescription, n_actions)
@@ -565,7 +528,7 @@ class MyopicBestResponder(GamePlayingAlgorithm):
         return MixedStrategy.pure(best + 1, self.n_actions)
 
 
-def myopic_best_responder(
+def myopic_best_responder(  # kept: perfbench/workloads.py calls it
     game: BimatrixGame, leader: GamePlayingAlgorithm
 ) -> MyopicBestResponder:
     return MyopicBestResponder(game, leader)

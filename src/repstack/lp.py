@@ -397,7 +397,7 @@ class StackelbergSolution:
     value: Fraction
     threat: ThreatResult
 
-    @property
+    @property  # kept: perfbench/workloads.py reads it
     def threat_value(self) -> Fraction:
         return self.threat.value
 

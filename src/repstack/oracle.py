@@ -35,7 +35,8 @@ from .core import (
     format_rational,
     stable_json,
 )
-from .gpa import GamePlayingAlgorithm, History, PrescribedSequenceGPA, State, history_key
+from .gpa import ExactStrategyUnavailable, GamePlayingAlgorithm, History, PrescribedSequenceGPA
+from .gpa import State, history_key
 from .lp import max_follower_pair, stackelberg_lp
 
 DEFAULT_STATE_BUDGET = 2_000_000
@@ -56,10 +57,6 @@ class StateSpaceExceeded(RuntimeError):
         self.visited = visited
         self.horizon = horizon
         self.round = round
-
-
-class RandomnessContractViolation(RuntimeError):
-    """The leader strategy cannot be analyzed exactly round by round."""
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,7 @@ def best_response(
     if budget < 1:
         raise InputError(f"state budget must be at least 1, got {budget}")
     if not leader.exact:
-        raise RandomnessContractViolation(
+        raise ExactStrategyUnavailable(
             "best response requires the leader's exact conditional strategies"
         )
 
@@ -216,9 +213,6 @@ class DeviationProfitableAt:
     round: int
 
 
-Verdict = Obeys | DeviationProfitableAt
-
-
 def verify_prescription(
     gpa: PrescribedSequenceGPA, game: BimatrixGame
 ) -> Obeys | DeviationProfitableAt:
@@ -282,6 +276,8 @@ def simulate(
     strategy is pure takes no draw; since draws are indexed by round,
     skipping one changes no other.
     """
+    if horizon < 1:
+        raise InputError("horizon must be at least 1")
     leader_rng = CounterRng(seed, _STREAM_LEADER)
     follower_rng = CounterRng(seed, _STREAM_FOLLOWER)
     leader_state = leader.initial_state()

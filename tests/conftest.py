@@ -34,6 +34,7 @@ from repstack.gpa import (
     HorizonTooShort,
     PrescribedSequenceGPA,
     SampledConstruction,
+    State,
     history_key,
 )
 from repstack.hardness import ThreePlayerGame, _grid_points
@@ -94,6 +95,19 @@ def random_zero_sum_game(
     return validate_game(m1, m2)
 
 
+def state_after(player: GamePlayingAlgorithm, history: History) -> State:
+    """The automaton state reached by folding `step` over a history."""
+    state = player.initial_state()
+    for pair in history:
+        state = player.step(state, pair)
+    return state
+
+
+def round_strategy(player: GamePlayingAlgorithm, history: History) -> MixedStrategy:
+    """The player's strategy for the round after `history`."""
+    return player.strategy_at(len(history), state_after(player, history))
+
+
 def brute_force_deterministic(
     leader: GamePlayingAlgorithm, game: BimatrixGame, horizon: int
 ) -> tuple[Fraction, Fraction]:
@@ -109,7 +123,7 @@ def brute_force_deterministic(
         follower_total = Fraction(0)
         leader_total = Fraction(0)
         for col in columns:
-            (row,) = leader.round_strategy(history).support()
+            (row,) = round_strategy(leader, history).support()
             pair = ActionPair(row, col)
             follower_total += game.follower_payoff(pair)
             leader_total += game.leader_payoff(pair)
@@ -134,7 +148,7 @@ def brute_force_randomized(
     def achievable(history: tuple[ActionPair, ...], t: int) -> list[tuple[Fraction, Fraction]]:
         if t == horizon:
             return [(Fraction(0), Fraction(0))]
-        strategy = leader.round_strategy(history)
+        strategy = round_strategy(leader, history)
         support = [(i, w) for i, w in enumerate(strategy.weights, 1) if w > 0]
         outcomes: list[tuple[Fraction, Fraction]] = []
         for col in range(1, game.cols + 1):
@@ -183,7 +197,7 @@ def history_prefix_best_response(
         cached = memo.get(history)
         if cached is not None:
             return cached
-        strategy = leader.round_strategy(history)
+        strategy = round_strategy(leader, history)
         support = [
             (row, weight)
             for row, weight in enumerate(strategy.weights, start=1)
@@ -225,7 +239,7 @@ def history_prefix_on_path(
             continue
         col = result.follower_policy[history]
         on_path[history] = col
-        strategy = leader.round_strategy(history)
+        strategy = round_strategy(leader, history)
         for row in strategy.support():
             frontier.append(history + (ActionPair(row, col),))
     return on_path
@@ -251,7 +265,7 @@ def history_prefix_transcript(
     """Realized play of a deterministic leader against the reference policy."""
     history: History = ()
     for _ in range(horizon):
-        strategy = leader.round_strategy(history)
+        strategy = round_strategy(leader, history)
         (row,) = strategy.support()
         col = result.follower_policy[history]
         history = history + (ActionPair(row, col),)

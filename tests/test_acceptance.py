@@ -27,13 +27,10 @@ from repstack import (
     balanced_vertex_cover,
     best_response,
     build_deterministic_gpa,
-    constant_gpa,
     cover_strategies,
     external_regret,
     game_value,
     grid_audit_player3,
-    grim_trigger,
-    lookup_table_gpa,
     multiplicative_weights,
     myopic_best_responder,
     on_path_transcript,
@@ -47,6 +44,7 @@ from repstack import (
     validate_game,
     verify_prescription,
 )
+from repstack.gpa import ConstantGPA, GrimTriggerGPA, LookupTableGPA
 from repstack.hardness import Graph
 from conftest import (
     brute_force_deterministic,
@@ -135,7 +133,7 @@ def test_criterion_3_grim_trigger_separation() -> None:
         game = _pd_game()
         static_value = F(1, 5)  # repeated single-round commitment value
         for horizon in (3, 5, 7):
-            leader = grim_trigger(game, ActionPair(1, 1), punish_row=2)
+            leader = GrimTriggerGPA(game, ActionPair(1, 1), punish_row=2)
             result = best_response(leader, game, horizon)
             path = on_path_transcript(result, game)
             expected = [(1, 1)] * (horizon - 1) + [(1, 2)]
@@ -184,7 +182,7 @@ def test_criterion_5_oracle_equivalence() -> None:
                         for col in range(1, game.cols + 1):
                             next_frontier.append(history + (ActionPair(row, col),))
                 frontier = next_frontier
-            leader = lookup_table_gpa(table, game.rows)
+            leader = LookupTableGPA(table, game.rows)
             result = best_response(leader, game, horizon)
             expected = brute_force_deterministic(leader, game, horizon)
             assert (result.follower_value, result.leader_value) == expected
@@ -192,7 +190,7 @@ def test_criterion_5_oracle_equivalence() -> None:
             # Randomized leader: constant mixed strategy, full enumeration.
             weights = [F(rng.randint(1, 4)) for _ in range(game.rows)]
             total = sum(weights)
-            mixed = constant_gpa(MixedStrategy(tuple(w / total for w in weights)))
+            mixed = ConstantGPA(MixedStrategy(tuple(w / total for w in weights)))
             result = best_response(mixed, game, 3)
             expected = brute_force_randomized(mixed, game, 3)
             assert (result.follower_value, result.leader_value) == expected
@@ -250,8 +248,8 @@ def test_criterion_7_zero_sum_no_regret() -> None:
 def test_criterion_8_general_sum_counterexample() -> None:
     with criterion(8, "general-sum regret tension", 5.0):
         game = _tension_game()
-        row1 = constant_gpa(MixedStrategy.pure(1, 2))
-        row2 = constant_gpa(MixedStrategy.pure(2, 2))
+        row1 = ConstantGPA(MixedStrategy.pure(1, 2))
+        row2 = ConstantGPA(MixedStrategy.pure(2, 2))
         horizon = 6
         result1 = best_response(row1, game, horizon)
         assert result1.leader_value / horizon == F(1, 4)

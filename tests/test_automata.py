@@ -23,20 +23,23 @@ from repstack import (
     StateSpaceExceeded,
     best_response,
     build_deterministic_gpa,
-    build_sampled_gpa,
-    constant_gpa,
-    grim_trigger,
-    lookup_table_gpa,
     multiplicative_weights,
     myopic_best_responder,
     on_path_transcript,
     prescription_follower,
+    sample_prescription,
     simulate,
     threat,
-    two_phase_defect_gpa,
     validate_game,
 )
-from repstack.gpa import GamePlayingAlgorithm, PrescribedSequenceGPA
+from repstack.gpa import (
+    ConstantGPA,
+    GamePlayingAlgorithm,
+    GrimTriggerGPA,
+    LookupTableGPA,
+    PrescribedSequenceGPA,
+    TwoPhaseDefectGPA,
+)
 from repstack.oracle import best_response_to_json
 from conftest import (
     history_prefix_best_response,
@@ -89,7 +92,7 @@ def differential_leaders(rng, game, horizon, seed) -> list[tuple[str, GamePlayin
         leaders.append(("deterministic", build_deterministic_gpa(game, horizon)[0]))
     except HorizonTooShort:
         pass
-    sampled = build_sampled_gpa(game, horizon, seed)
+    sampled = sample_prescription(game, horizon, seed).gpa
     leaders.append(("sampled", sampled))
     # Shuffled, the script can ask for a poor round early, so the follower
     # may leave it; a full-support threat then makes the punishment mix.
@@ -98,19 +101,19 @@ def differential_leaders(rng, game, horizon, seed) -> list[tuple[str, GamePlayin
     punish = random_mixed(rng, game.rows, lowest=1)
     leaders.append(("shuffled", PrescribedSequenceGPA(game, script, punish)))
     cooperate = ActionPair(rng.randint(1, game.rows), rng.randint(1, game.cols))
-    leaders.append(("grim", grim_trigger(game, cooperate, rng.randint(1, game.rows))))
+    leaders.append(("grim", GrimTriggerGPA(game, cooperate, rng.randint(1, game.rows))))
     if game.rows >= 2 and game.cols >= 2:
-        leaders.append(("two_phase", two_phase_defect_gpa(game, rng.randint(0, horizon))))
-    leaders.append(("constant", constant_gpa(random_mixed(rng, game.rows))))
+        leaders.append(("two_phase", TwoPhaseDefectGPA(game, rng.randint(0, horizon))))
+    leaders.append(("constant", ConstantGPA(random_mixed(rng, game.rows))))
     table = random_table(rng, game.rows, game.cols, horizon)
-    leaders.append(("lookup", lookup_table_gpa(table, game.rows)))
+    leaders.append(("lookup", LookupTableGPA(table, game.rows)))
     return leaders
 
 
 def leaves_script_under_mixed_threat(leader, policy) -> bool:
     """The follower departs from the script somewhere on path while the
     threat that punishes the departure is mixed."""
-    if not isinstance(leader, PrescribedSequenceGPA) or leader.threat_strategy.is_pure():
+    if not isinstance(leader, PrescribedSequenceGPA) or len(leader.threat_strategy.support()) == 1:
         return False
     script = leader.prescription
     return any(
@@ -171,7 +174,7 @@ MIXED_THREAT = validate_game([[1, "1/2"], [0, "1/4"]], [[1, -1], [-1, 1]])
 
 
 def pd_obedient():
-    leader = build_sampled_gpa(PD, 4097, seed=3)
+    leader = sample_prescription(PD, 4097, seed=3).gpa
     return leader, prescription_follower(leader.prescription, PD.cols), PD, 4097, 5
 
 
@@ -193,8 +196,8 @@ def mixed_threat_versus_myopic():
 
 
 def constant_mixed_pair():
-    leader = constant_gpa(MixedStrategy((F(1, 3), F(2, 3))))
-    follower = constant_gpa(MixedStrategy((F(1, 4), F(3, 4))))
+    leader = ConstantGPA(MixedStrategy((F(1, 3), F(2, 3))))
+    follower = ConstantGPA(MixedStrategy((F(1, 4), F(3, 4))))
     return leader, follower, PD, 500, 13
 
 
@@ -218,7 +221,7 @@ def test_simulate_transcripts_are_pinned(case) -> None:
 
 def test_mixed_threat_case_draws_from_the_threat() -> None:
     leader, follower, game, horizon, seed = mixed_threat_versus_myopic()
-    assert not leader.threat_strategy.is_pure()
+    assert len(leader.threat_strategy.support()) > 1
     rows = {p.row for p in simulate(leader, follower, game, horizon, seed).pairs[1:]}
     assert rows == {1, 2}
 
@@ -250,12 +253,7 @@ def test_state_budget_reports_how_far_it_got() -> None:
 
 
 def test_base_strategy_defines_no_round_play() -> None:
-    """`strategy_at` is the one per-round method; the base class has none, and
-    its history folds report that instead of recursing."""
+    """`strategy_at` is the one per-round method, and the base class has none."""
     base = GamePlayingAlgorithm(2)
     with pytest.raises(NotImplementedError):
         base.strategy_at(0, ())
-    with pytest.raises(NotImplementedError):
-        base.round_strategy(())
-    with pytest.raises(NotImplementedError):
-        base.round_probabilities(())

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,17 @@ def test_simulate_myopic_follower(pd_file, tmp_path, capsys) -> None:
     assert "transcript = (1,2) (2,2) (2,2) (2,2)" in out
 
 
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_simulate_rejects_horizon_below_one(pd_file, tmp_path, capsys, horizon) -> None:
+    gpa_path = tmp_path / "grim.json"
+    gpa_path.write_text('{"kind":"grim_trigger","cooperate":[1,1],"punish_row":2}')
+    code = main(["simulate", pd_file, str(gpa_path), "-T", horizon, "--follower", "myopic"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: horizon must be at least 1\n"
+
+
 def test_regret_command(tmp_path, capsys) -> None:
     game_path = tmp_path / "game.json"
     game_path.write_text(TENSION)
@@ -254,6 +266,21 @@ def test_audit_vc_k4_exponent_zero_threshold(tmp_path, capsys) -> None:
     assert code == 4
     assert "threshold 1 + 1/((n-2) n^(c-1)) = 3\n" in out
     assert "grid certificate: FAILS" in out
+
+
+def test_audit_vc_refuses_a_large_graph_before_reducing_it(tmp_path, capsys) -> None:
+    """The cover search's size limit is checked before the n^2 (n+m+1)
+    reduction is built, so n = 200 exits 3 at once."""
+    graph_path = tmp_path / "edgeless.txt"
+    graph_path.write_text("200 0\n")
+    start = time.perf_counter()
+    code = main(["audit-vc", str(graph_path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: exhaustive cover search limited to n <= 20, got n = 200\n"
+    assert elapsed < 0.5
 
 
 @pytest.mark.parametrize("resolution", ["0", "-3"])

@@ -164,7 +164,6 @@ def test_mixed_strategy_validation() -> None:
         MixedStrategy((Fraction(3, 2), Fraction(-1, 2)))
     strategy = MixedStrategy((Fraction(1, 3), Fraction(2, 3)))
     assert strategy.support() == (1, 2)
-    assert not strategy.is_pure()
     assert MixedStrategy.pure(2, 3).support() == (2,)
 
 

@@ -19,23 +19,25 @@ from repstack import (
     Transcript,
     average_payoffs,
     build_deterministic_gpa,
-    build_sampled_gpa,
     gpa_from_json,
     gpa_to_json,
-    grim_trigger,
-    lookup_table_gpa,
     max_follower_pair,
     multiplicative_weights,
     sample_prescription,
     stackelberg_lp,
     threat,
-    two_phase_defect_gpa,
     validate_game,
 )
 from repstack import lp
 from repstack.core import parse_pair
-from repstack.gpa import ExactStrategyUnavailable, PrescribedSequenceGPA
-from conftest import random_game
+from repstack.gpa import (
+    ExactStrategyUnavailable,
+    GrimTriggerGPA,
+    LookupTableGPA,
+    PrescribedSequenceGPA,
+    TwoPhaseDefectGPA,
+)
+from conftest import random_game, round_strategy, state_after
 
 F = Fraction
 
@@ -84,12 +86,12 @@ def test_deterministic_build_horizon_too_short(pd_game) -> None:
 def test_prescribed_gpa_threat_switching(pd_game) -> None:
     gpa, _ = build_deterministic_gpa(pd_game, 11)
     obedient = tuple(gpa.prescription[:3])
-    assert gpa.round_strategy(obedient).support() == (2,)  # round 4 scripts (2,1)
+    assert round_strategy(gpa, obedient).support() == (2,)  # round 4 scripts (2,1)
     deviated = obedient[:2] + (ActionPair(2, 2),)
-    assert gpa.round_strategy(deviated) == gpa.threat_strategy
+    assert round_strategy(gpa, deviated) == gpa.threat_strategy
     # once triggered, always triggered
     longer = deviated + (ActionPair(2, 1),)
-    assert gpa.round_strategy(longer) == gpa.threat_strategy
+    assert round_strategy(gpa, longer) == gpa.threat_strategy
 
 
 def test_reach_lp_bound_exactly(pd_game, inevitability_game) -> None:
@@ -164,16 +166,16 @@ def test_sampled_build_repair_invariants(pd_game) -> None:
 
 
 def test_sampled_build_determinism(pd_game) -> None:
-    first = build_sampled_gpa(pd_game, 37, seed=99)
-    second = build_sampled_gpa(pd_game, 37, seed=99)
+    first = sample_prescription(pd_game, 37, seed=99).gpa
+    second = sample_prescription(pd_game, 37, seed=99).gpa
     assert first.prescription == second.prescription
-    other = build_sampled_gpa(pd_game, 37, seed=100)
+    other = sample_prescription(pd_game, 37, seed=100).gpa
     assert first.prescription != other.prescription  # overwhelmingly likely
 
 
 def test_sampled_build_short_horizon(pd_game) -> None:
     with pytest.raises(HorizonTooShort):
-        build_sampled_gpa(pd_game, 1, seed=0)
+        sample_prescription(pd_game, 1, seed=0)
 
 
 def test_swap_repair_loss_bound() -> None:
@@ -214,44 +216,44 @@ def test_swap_repair_loss_bound() -> None:
 
 
 def test_grim_trigger_behavior(pd_game) -> None:
-    gpa = grim_trigger(pd_game, ActionPair(1, 1), punish_row=2)
-    assert gpa.round_strategy(()).support() == (1,)
+    gpa = GrimTriggerGPA(pd_game, ActionPair(1, 1), punish_row=2)
+    assert round_strategy(gpa, ()).support() == (1,)
     cooperative = (ActionPair(1, 1), ActionPair(1, 1))
-    assert gpa.round_strategy(cooperative).support() == (1,)
+    assert round_strategy(gpa, cooperative).support() == (1,)
     betrayed = (ActionPair(1, 2),)
-    assert gpa.round_strategy(betrayed).support() == (2,)
-    assert gpa.round_strategy(betrayed + (ActionPair(2, 1),)).support() == (2,)
+    assert round_strategy(gpa, betrayed).support() == (2,)
+    assert round_strategy(gpa, betrayed + (ActionPair(2, 1),)).support() == (2,)
 
 
 def test_two_phase_matches_grim_with_empty_phase(pd_game) -> None:
-    two_phase = two_phase_defect_gpa(pd_game, 0)
-    grim = grim_trigger(pd_game, ActionPair(1, 1), punish_row=2)
+    two_phase = TwoPhaseDefectGPA(pd_game, 0)
+    grim = GrimTriggerGPA(pd_game, ActionPair(1, 1), punish_row=2)
     histories = [()]
     for _ in range(3):
         histories = [
             h + (ActionPair(r, c),) for h in histories for r in (1, 2) for c in (1, 2)
         ]
         for history in histories:
-            assert two_phase.round_strategy(history) == grim.round_strategy(history)
+            assert round_strategy(two_phase, history) == round_strategy(grim, history)
 
 
 def test_two_phase_defects_then_cooperates(pd_game) -> None:
-    gpa = two_phase_defect_gpa(pd_game, 2)
-    assert gpa.round_strategy(()).support() == (2,)
+    gpa = TwoPhaseDefectGPA(pd_game, 2)
+    assert round_strategy(gpa, ()).support() == (2,)
     h1 = (ActionPair(2, 1),)
-    assert gpa.round_strategy(h1).support() == (2,)
+    assert round_strategy(gpa, h1).support() == (2,)
     h2 = h1 + (ActionPair(2, 1),)
-    assert gpa.round_strategy(h2).support() == (1,)
+    assert round_strategy(gpa, h2).support() == (1,)
     # follower defection in phase 2 triggers permanent defection
     h3 = h2 + (ActionPair(1, 2),)
-    assert gpa.round_strategy(h3).support() == (2,)
+    assert round_strategy(gpa, h3).support() == (2,)
 
 
 def test_multiplicative_weights_uniform_first_round(pd_game) -> None:
     mw = multiplicative_weights(pd_game, "leader", F(1, 10))
-    assert mw.round_probabilities(()) == [0.5, 0.5]
+    assert mw.probabilities_at(0, state_after(mw, ())) == [0.5, 0.5]
     with pytest.raises(ExactStrategyUnavailable):
-        mw.round_strategy(())
+        round_strategy(mw, ())
 
 
 def test_multiplicative_weights_concentrates_on_best_reply(pd_game) -> None:
@@ -262,7 +264,7 @@ def test_multiplicative_weights_concentrates_on_best_reply(pd_game) -> None:
     previous_ratio = 1.0
     for _ in range(30):
         history = history + (ActionPair(1, 1),)
-        p1, p2 = mw.round_probabilities(history)
+        p1, p2 = mw.probabilities_at(len(history), state_after(mw, history))
         ratio = p2 / p1
         assert ratio > previous_ratio
         previous_ratio = ratio
@@ -271,21 +273,21 @@ def test_multiplicative_weights_concentrates_on_best_reply(pd_game) -> None:
 
 def test_lookup_table_gpa() -> None:
     table = {(): 1, ((ActionPair(1, 1),)): 2}
-    gpa = lookup_table_gpa(table, n_actions=2)
-    assert gpa.round_strategy(()).support() == (1,)
-    assert gpa.round_strategy((ActionPair(1, 1),)).support() == (2,)
+    gpa = LookupTableGPA(table, n_actions=2)
+    assert round_strategy(gpa, ()).support() == (1,)
+    assert round_strategy(gpa, (ActionPair(1, 1),)).support() == (2,)
     with pytest.raises(MissingEntry):
-        gpa.round_strategy((ActionPair(2, 2),))
+        round_strategy(gpa, (ActionPair(2, 2),))
 
 
 def test_gpa_serialization_round_trips(pd_game) -> None:
     built, _ = build_deterministic_gpa(pd_game, 11)
     candidates = [
         built,
-        grim_trigger(pd_game, ActionPair(1, 1), 2),
-        two_phase_defect_gpa(pd_game, 3),
+        GrimTriggerGPA(pd_game, ActionPair(1, 1), 2),
+        TwoPhaseDefectGPA(pd_game, 3),
         multiplicative_weights(pd_game, "follower", F(1, 7)),
-        lookup_table_gpa({(): 1, (ActionPair(1, 2),): 2}, 2),
+        LookupTableGPA({(): 1, (ActionPair(1, 2),): 2}, 2),
     ]
     for gpa in candidates:
         text = gpa_to_json(gpa)
@@ -307,16 +309,16 @@ def test_gpa_to_json_bytes(pd_game) -> None:
             '[1,1],[1,1],[1,1],[1,2],[1,2]],"threat":["0","1"]}',
         ),
         (
-            grim_trigger(pd_game, ActionPair(1, 1), 2),
+            GrimTriggerGPA(pd_game, ActionPair(1, 1), 2),
             '{"cooperate":[1,1],"kind":"grim_trigger","punish_row":2}',
         ),
-        (two_phase_defect_gpa(pd_game, 3), '{"kind":"two_phase","phase1_len":3}'),
+        (TwoPhaseDefectGPA(pd_game, 3), '{"kind":"two_phase","phase1_len":3}'),
         (
             multiplicative_weights(pd_game, "follower", F(1, 7)),
             '{"kind":"mw","learning_rate":"1/7","side":"follower"}',
         ),
         (
-            lookup_table_gpa({(): 1, (ActionPair(1, 2),): 2}, 2),
+            LookupTableGPA({(): 1, (ActionPair(1, 2),): 2}, 2),
             '{"kind":"lookup","n_actions":2,"table":{"":1,"1,2":2}}',
         ),
     ]

@@ -25,6 +25,7 @@ from repstack import (
     reduce_graph,
 )
 from repstack.core import InputError
+from conftest import round_strategy
 
 F = Fraction
 
@@ -279,7 +280,7 @@ def test_coloring_leader_on_path_graph() -> None:
     for t in range(3):
         cols.append(result.follower_policy[history])
         if t < 2:  # rounds before the last: leader plays pure action 1
-            (row,) = leader.round_strategy(history).support()
+            (row,) = round_strategy(leader, history).support()
             history = history + (ActionPair(row, cols[-1]),)
     assert len(set(cols[:2])) == 2  # the two colored vertices differ
     assert cols[2] == 3  # final round plays the top action
@@ -292,7 +293,7 @@ def test_coloring_leader_score_rules() -> None:
     # Playing the top action early counts as an invalid encoding.
     early_top = (ActionPair(1, 3), ActionPair(1, 1))
     assert leader.coloring_score(early_top) == 3
-    strategy = leader.round_strategy(early_top)
+    strategy = round_strategy(leader, early_top)
     assert strategy.probability(3) == 0
     assert strategy.probability(1) == 1
     # An invalid coloring (same color across an edge) also scores n.
@@ -300,7 +301,7 @@ def test_coloring_leader_score_rules() -> None:
     assert leader.coloring_score(invalid) == 3
     valid = (ActionPair(1, 1), ActionPair(1, 2))
     assert leader.coloring_score(valid) == 2
-    strategy = leader.round_strategy(valid)
+    strategy = round_strategy(leader, valid)
     assert strategy.probability(3) == F(1, 3)
     assert strategy.probability(1) == F(2, 3)
 

@@ -7,39 +7,43 @@ from fractions import Fraction
 
 import pytest
 
+import repstack
 from repstack import (
     ActionPair,
     DeviationProfitableAt,
+    ExactStrategyUnavailable,
     Graph,
     InputError,
     MixedStrategy,
     Obeys,
-    RandomnessContractViolation,
     StateSpaceExceeded,
     Transcript,
     average_payoffs,
     best_response,
     build_deterministic_gpa,
-    build_sampled_gpa,
     coloring_leader_gpa,
-    constant_gpa,
     external_regret,
     game_value,
-    grim_trigger,
-    lookup_table_gpa,
     multiplicative_weights,
     myopic_best_responder,
     on_path_transcript,
     prescription_follower,
+    sample_prescription,
     simulate,
     stackelberg_gap,
     stackelberg_lp,
     threat,
-    two_phase_defect_gpa,
     validate_game,
     verify_prescription,
 )
-from repstack.gpa import GamePlayingAlgorithm, PrescribedSequenceGPA
+from repstack.gpa import (
+    ConstantGPA,
+    GamePlayingAlgorithm,
+    GrimTriggerGPA,
+    LookupTableGPA,
+    PrescribedSequenceGPA,
+    TwoPhaseDefectGPA,
+)
 from repstack.oracle import best_response_to_json
 from conftest import (
     brute_force_deterministic,
@@ -52,7 +56,7 @@ F = Fraction
 
 
 def test_best_response_grim_trigger_pd(pd_game) -> None:
-    gpa = grim_trigger(pd_game, ActionPair(1, 1), punish_row=2)
+    gpa = GrimTriggerGPA(pd_game, ActionPair(1, 1), punish_row=2)
     result = best_response(gpa, pd_game, 3)
     assert result.follower_value == F(11, 5)
     path = on_path_transcript(result, pd_game)
@@ -81,7 +85,7 @@ def test_on_path_transcript_under_a_mixed_threat_that_never_fires(pd_game) -> No
 
 
 def test_on_path_transcript_names_the_first_mixed_round(pd_game) -> None:
-    result = best_response(constant_gpa(MixedStrategy.uniform(2)), pd_game, 3)
+    result = best_response(ConstantGPA(MixedStrategy.uniform(2)), pd_game, 3)
     with pytest.raises(InputError, match="mixes at round 1$"):
         on_path_transcript(result, pd_game)
     # The coloring leader plays action 1 until its final round, then mixes.
@@ -93,7 +97,7 @@ def test_on_path_transcript_names_the_first_mixed_round(pd_game) -> None:
 
 def test_best_response_single_round_myopic() -> None:
     game = validate_game([[1, -1], [-1, 1]], [[-1, 1], [1, -1]])
-    leader = constant_gpa(MixedStrategy.uniform(2))
+    leader = ConstantGPA(MixedStrategy.uniform(2))
     result = best_response(leader, game, 1)
     assert result.follower_value == 0  # both columns average to zero
     assert result.follower_policy[()] == 1  # tie resolves to the lowest column
@@ -101,12 +105,22 @@ def test_best_response_single_round_myopic() -> None:
 
 def test_best_response_rejects_inexact_leader(pd_game) -> None:
     mw = multiplicative_weights(pd_game, "leader", F(1, 10))
-    with pytest.raises(RandomnessContractViolation):
+    with pytest.raises(ExactStrategyUnavailable):
         best_response(mw, pd_game, 2)
 
 
+def test_inexact_leader_error_is_the_package_export(pd_game) -> None:
+    """One exception means "no exact rationals": the oracle raises the one
+    the strategy defines, and the package root exports it."""
+    mw = multiplicative_weights(pd_game, "leader", F(1, 10))
+    with pytest.raises(repstack.ExactStrategyUnavailable) as info:
+        best_response(mw, pd_game, 2)
+    assert type(info.value) is repstack.gpa.ExactStrategyUnavailable
+    assert not hasattr(repstack, "RandomnessContractViolation")
+
+
 def test_best_response_state_budget(pd_game) -> None:
-    leader = constant_gpa(MixedStrategy.uniform(2))
+    leader = ConstantGPA(MixedStrategy.uniform(2))
     with pytest.raises(StateSpaceExceeded) as info:
         best_response(leader, pd_game, 6, budget=100)
     assert info.value.budget == 100
@@ -132,7 +146,7 @@ def test_best_response_matches_brute_force(seed: int) -> None:
                 for col in range(1, game.cols + 1):
                     next_frontier.append(history + (ActionPair(row, col),))
         frontier = next_frontier
-    leader = lookup_table_gpa(table, game.rows)
+    leader = LookupTableGPA(table, game.rows)
     result = best_response(leader, game, horizon)
     assert (result.follower_value, result.leader_value) == brute_force_deterministic(
         leader, game, horizon
@@ -141,7 +155,7 @@ def test_best_response_matches_brute_force(seed: int) -> None:
     # Randomized leader: a constant mixed strategy, horizon 3.
     weights = [F(rng.randint(1, 4)) for _ in range(game.rows)]
     total = sum(weights)
-    mixed = constant_gpa(MixedStrategy(tuple(w / total for w in weights)))
+    mixed = ConstantGPA(MixedStrategy(tuple(w / total for w in weights)))
     result = best_response(mixed, game, 3)
     assert (result.follower_value, result.leader_value) == brute_force_randomized(
         mixed, game, 3
@@ -157,17 +171,17 @@ def test_lp_value_bounds_every_candidate_leader(seed: int) -> None:
     opt = stackelberg_lp(game).value
     horizon = 4 if rows * cols <= 6 else 3
     candidates: list[GamePlayingAlgorithm] = [
-        constant_gpa(MixedStrategy.pure(row, game.rows))
+        ConstantGPA(MixedStrategy.pure(row, game.rows))
         for row in range(1, game.rows + 1)
     ]
-    candidates.append(constant_gpa(threat(game).strategy))
-    candidates.append(constant_gpa(MixedStrategy.uniform(game.rows)))
+    candidates.append(ConstantGPA(threat(game).strategy))
+    candidates.append(ConstantGPA(MixedStrategy.uniform(game.rows)))
     try:
         deterministic, _ = build_deterministic_gpa(game, horizon)
         candidates.append(deterministic)
     except Exception:
         pass
-    candidates.append(build_sampled_gpa(game, horizon, seed=seed))
+    candidates.append(sample_prescription(game, horizon, seed=seed).gpa)
     for leader in candidates:
         result = best_response(leader, game, horizon)
         assert result.leader_value <= opt * horizon
@@ -203,7 +217,7 @@ def test_constructed_gpas_always_verify_and_match_oracle(pd_game) -> None:
     for game, horizon in ((pd_game, 7), (pd_game, 11)):
         for gpa in (
             build_deterministic_gpa(game, horizon)[0],
-            build_sampled_gpa(game, horizon, seed=3),
+            sample_prescription(game, horizon, seed=3).gpa,
         ):
             assert isinstance(verify_prescription(gpa, game), Obeys)
             result = best_response(gpa, game, horizon)
@@ -217,7 +231,7 @@ def test_two_phase_defect_against_oracle(pd_game) -> None:
     while stretching phase one to T-1 rounds collapses play to the static
     commitment value."""
     horizon = 6
-    leader = two_phase_defect_gpa(pd_game, horizon // 2)
+    leader = TwoPhaseDefectGPA(pd_game, horizon // 2)
     result = best_response(leader, pd_game, horizon)
     assert result.leader_value == F(4 * horizon - 3, 5)
     path = on_path_transcript(result, pd_game)
@@ -225,7 +239,7 @@ def test_two_phase_defect_against_oracle(pd_game) -> None:
         [(2, 1)] * 3 + [(1, 1)] * 2 + [(1, 2)]
     )
 
-    greedy = two_phase_defect_gpa(pd_game, horizon - 1)
+    greedy = TwoPhaseDefectGPA(pd_game, horizon - 1)
     result = best_response(greedy, pd_game, horizon)
     path = on_path_transcript(result, pd_game)
     assert path.pairs[0].col == 2  # the follower defects immediately
@@ -235,9 +249,9 @@ def test_two_phase_defect_against_oracle(pd_game) -> None:
 def test_oracle_policy_is_a_lookup_table_strategy(pd_game) -> None:
     """The oracle's policy replayed as a lookup-table strategy reproduces
     the on-path transcript against the same leader."""
-    leader = grim_trigger(pd_game, ActionPair(1, 1), punish_row=2)
+    leader = GrimTriggerGPA(pd_game, ActionPair(1, 1), punish_row=2)
     result = best_response(leader, pd_game, 4)
-    follower = lookup_table_gpa(result.follower_policy, pd_game.cols)
+    follower = LookupTableGPA(result.follower_policy, pd_game.cols)
     transcript = simulate(leader, follower, pd_game, 4, seed=0)
     assert transcript.pairs == on_path_transcript(result, pd_game).pairs
 
@@ -249,7 +263,7 @@ def test_obedience_is_optimal_on_random_games(seed: int) -> None:
     rng = random.Random(7000 + seed)
     game = random_game(rng, 2, 2)
     horizon = 6
-    candidates = [build_sampled_gpa(game, horizon, seed=seed)]
+    candidates = [sample_prescription(game, horizon, seed=seed).gpa]
     try:
         candidates.append(build_deterministic_gpa(game, horizon)[0])
     except Exception:
@@ -269,9 +283,17 @@ def test_simulate_obedient_follower_reproduces_script(pd_game) -> None:
     assert transcript.pairs == gpa.prescription
 
 
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_simulate_rejects_horizon_below_one(pd_game, horizon) -> None:
+    leader = GrimTriggerGPA(pd_game, ActionPair(1, 1), punish_row=2)
+    follower = ConstantGPA(MixedStrategy.pure(2, 2))
+    with pytest.raises(InputError, match="^horizon must be at least 1$"):
+        simulate(leader, follower, pd_game, horizon, seed=0)
+
+
 def test_simulate_grim_vs_always_defect(pd_game) -> None:
-    leader = grim_trigger(pd_game, ActionPair(1, 1), punish_row=2)
-    follower = constant_gpa(MixedStrategy.pure(2, 2))
+    leader = GrimTriggerGPA(pd_game, ActionPair(1, 1), punish_row=2)
+    follower = ConstantGPA(MixedStrategy.pure(2, 2))
     transcript = simulate(leader, follower, pd_game, 5, seed=1)
     assert [(p.row, p.col) for p in transcript.pairs] == [(1, 2)] + [(2, 2)] * 4
 
