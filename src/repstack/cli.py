@@ -241,7 +241,11 @@ def cmd_regret(args: argparse.Namespace) -> int:
     transcript = core.transcript_from_json(_read_text(args.transcript), game)
     report = oracle.external_regret(transcript, game, args.side)
     per_round = report.total_regret / len(transcript)
-    payload = json.loads(report.to_json())
+    payload = {
+        "total_regret": format_rational(report.total_regret),
+        "best_fixed_action": report.best_fixed_action,
+        "realized_total": format_rational(report.realized_total),
+    }
     lines = [
         f"total regret = {format_rational(report.total_regret)}",
         f"per-round regret = {format_rational(per_round)}",

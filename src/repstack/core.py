@@ -9,11 +9,14 @@ threads; the operations are pure functions.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class InputError(ValueError):
@@ -39,6 +42,8 @@ class EmptyTranscript(InputError):
 def parse_rational(value: int | str | Fraction) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a "p/q" / "p" string.
 
+    A string is an optional sign and ASCII digits, then optionally "/" and
+    a positive denominator in ASCII digits, with outer whitespace only.
     Floats are rejected: there is no exact interpretation of a binary float
     that we are willing to guess at.
     """
@@ -49,19 +54,17 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
+        # A signed denominator is matched only to be refused as not positive.
+        match = re.fullmatch(r"([+-]?[0-9]+)(?:/(-?[0-9]+))?", value.strip())
+        if match is None:
+            raise RationalParseError(f"invalid rational {value!r}")
         try:
-            if "/" in text:
-                num_text, den_text = text.split("/")
-                num, den = int(num_text), int(den_text)
-                if den <= 0:
-                    raise RationalParseError(
-                        f"invalid rational {value!r}: denominator must be positive"
-                    )
-                return Fraction(num, den)
-            return Fraction(int(text))
-        except ValueError as exc:
+            num, den = int(match[1]), int(match[2] or 1)
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
             raise RationalParseError(f"invalid rational {value!r}") from exc
+        if den <= 0:
+            raise RationalParseError(f"invalid rational {value!r}: denominator must be positive")
+        return Fraction(num, den)
     raise RationalParseError(f"not a rational: {value!r}")
 
 
@@ -130,12 +133,6 @@ class MixedStrategy:
             self.__dict__["_support"] = support
         return support
 
-    def expected(self, values: Sequence[Fraction]) -> Fraction:
-        """Exact expectation of one value per action."""
-        if len(values) != len(self.weights):
-            raise InputError("value vector length does not match strategy")
-        return sum((w * v for w, v in zip(self.weights, values)), Fraction(0))
-
     def sample_index(self, u: Fraction) -> int:
         """Map a uniform draw u in [0, 1) to a 1-based action, exactly."""
         if not 0 <= u < 1:
@@ -178,6 +175,12 @@ class BimatrixGame:
 
     def contains(self, pair: ActionPair) -> bool:
         return 1 <= pair.row <= self.rows and 1 <= pair.col <= self.cols
+
+    def totals(self, counts: Mapping[ActionPair, int]) -> tuple[Fraction, Fraction]:
+        """Total (leader, follower) payoff over a multiset of pairs, {pair: count}."""
+        leader = sum((self.m1[r - 1][c - 1] * n for (r, c), n in counts.items()), Fraction(0))
+        follower = sum((self.m2[r - 1][c - 1] * n for (r, c), n in counts.items()), Fraction(0))
+        return leader, follower
 
 
 def _parse_matrix(raw: Sequence[Sequence[object]], name: str) -> list[list[Fraction]]:
@@ -254,25 +257,24 @@ class Transcript:
     game: BimatrixGame
 
     def __post_init__(self) -> None:
-        # Each distinct pair once, in order of first occurrence.
-        for pair in dict.fromkeys(self.pairs):
+        # `counts` holds each distinct pair once, in order of first occurrence,
+        # with how often it was played.  Not a field: equality, hashing and
+        # repr ignore it.
+        counts = Counter(self.pairs)
+        object.__setattr__(self, "counts", counts)
+        for pair in counts:
             if not self.game.contains(pair):
                 raise InputError(f"pair {pair} out of bounds for game")
 
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def total_payoffs(self) -> tuple[Fraction, Fraction]:
-        leader = sum((self.game.leader_payoff(p) for p in self.pairs), Fraction(0))
-        follower = sum((self.game.follower_payoff(p) for p in self.pairs), Fraction(0))
-        return leader, follower
-
 
 def average_payoffs(transcript: Transcript) -> tuple[Fraction, Fraction]:
     """Exact per-round average payoffs (leader, follower) of a transcript."""
     if len(transcript) == 0:
         raise EmptyTranscript("cannot average over an empty transcript")
-    leader, follower = transcript.total_payoffs()
+    leader, follower = transcript.game.totals(transcript.counts)
     rounds = len(transcript)
     return leader / rounds, follower / rounds
 
@@ -324,6 +326,28 @@ def parse_pair(entry: object) -> ActionPair:
     return ActionPair(parse_integer(entry[0]), parse_integer(entry[1]))
 
 
+def parse_pairs(entries: list) -> tuple[ActionPair, ...]:
+    """`parse_pair` over each entry, once per run of equal entries.
+
+    A run is parsed once only when every entry in it is a list of two exact
+    ints: `[1, true]` and `[1, 1.0]` equal `[1, 1]` but are errors.  Any
+    other run is parsed entry by entry, so the first bad entry names itself.
+    """
+    pairs: list[ActionPair] = []
+    for first, block in itertools.groupby(entries):
+        block = list(block)
+        # Only a list equals a list, so when `first` is one, all of `block` are.
+        if (
+            type(first) is list
+            and len(first) == 2
+            and set(map(type, itertools.chain.from_iterable(block))) == {int}
+        ):
+            pairs += itertools.repeat(ActionPair(*first), len(block))
+        else:
+            pairs += map(parse_pair, block)
+    return tuple(pairs)
+
+
 def transcript_from_json(text: str, game: BimatrixGame) -> Transcript:
     try:
         data = json.loads(text)
@@ -331,4 +355,4 @@ def transcript_from_json(text: str, game: BimatrixGame) -> Transcript:
         raise InputError(f"invalid transcript file: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("pairs"), list):
         raise InputError('transcript file must be an object with a "pairs" list')
-    return Transcript(tuple(parse_pair(entry) for entry in data["pairs"]), game)
+    return Transcript(parse_pairs(data["pairs"]), game)

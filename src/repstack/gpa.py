@@ -41,10 +41,11 @@ from .core import (
     pair_ordering,
     parse_integer,
     parse_pair,
+    parse_pairs,
     parse_rational,
     stable_json,
 )
-from .lp import StackelbergSolution, max_follower_pair, stackelberg_lp
+from .lp import StackelbergSolution, max_follower_pair, reply_values, stackelberg_lp
 from .lp import threat  # noqa: F401 -- kept bound: perfbench/tracer.py wraps gpa.threat
 
 _STREAM_SAMPLES = 3
@@ -92,7 +93,9 @@ class GamePlayingAlgorithm:
 
     Attributes:
         exact: the conditional distribution given any history is available
-            as exact rationals (required by the best-response oracle).
+            as exact rationals (required by the best-response oracle).  An
+            inexact strategy must define `probabilities_at(t, state)`, the
+            float distribution that `simulate` and the myopic follower use.
     """
 
     kind: str = "abstract"
@@ -112,10 +115,6 @@ class GamePlayingAlgorithm:
     def strategy_at(self, t: int, state: State) -> MixedStrategy:
         """The mixed strategy after t rounds that led to `state`."""
         raise NotImplementedError(f"{type(self).__name__} defines no strategy_at")
-
-    def probabilities_at(self, t: int, state: State) -> list[float]:
-        """Float view of `strategy_at` (simulation only)."""
-        return [float(w) for w in self.strategy_at(t, state).weights]
 
 
 class PrescribedSequenceGPA(GamePlayingAlgorithm):
@@ -283,9 +282,7 @@ def sample_prescription(
     # follower_max * (T - 1) >= V * (T - 1).  The leader tie-break never
     # applies: alpha is a vertex of a two-row LP, so at most two pairs are
     # drawn, and while a deficit remains their follower payoffs differ.
-    deficit = threat_result.value * (horizon - 1) - sum(
-        (game.follower_payoff(p) * c for p, c in counts.items()), Fraction(0)
-    )
+    deficit = threat_result.value * (horizon - 1) - game.totals(counts)[1]
     swaps = 0
     repaired = dict(counts)
     canonical = pair_ordering(game)
@@ -513,11 +510,7 @@ class MyopicBestResponder(GamePlayingAlgorithm):
 
     def strategy_at(self, t: int, state: State) -> MixedStrategy:
         if self.leader.exact:
-            strategy = self.leader.strategy_at(t, state)
-            scores = [
-                strategy.expected([self.game.m2[i][j] for i in range(self.game.rows)])
-                for j in range(self.game.cols)
-            ]
+            scores, _ = reply_values(self.game, self.leader.strategy_at(t, state))
         else:
             probs = self.leader.probabilities_at(t, state)
             scores = [
@@ -594,7 +587,7 @@ def gpa_from_json(text: str, game: BimatrixGame) -> GamePlayingAlgorithm:
 
 def _gpa_from_data(kind: object, data: dict, game: BimatrixGame) -> GamePlayingAlgorithm:
     if kind == "prescribed":
-        prescription = _parse_script(_json_list(data, "prescription"))
+        prescription = parse_pairs(_json_list(data, "prescription"))
         weights = tuple(parse_rational(w) for w in _json_list(data, "threat"))
         return PrescribedSequenceGPA(game, prescription, MixedStrategy(weights))
     if kind == "grim_trigger":
@@ -616,25 +609,3 @@ def _json_list(data: dict, key: str) -> list:
     if not isinstance(value, list):
         raise InputError(f"{key!r} must be a JSON list, got {value!r}")
     return value
-
-
-def _parse_script(entries: list) -> tuple[ActionPair, ...]:
-    """`parse_pair` over each entry, once per run of equal entries.
-
-    A run is parsed once only when every entry in it is a list of two exact
-    ints: `[1, true]` and `[1, 1.0]` equal `[1, 1]` but are errors.  Any
-    other run is parsed entry by entry, so the first bad entry names itself.
-    """
-    script: list[ActionPair] = []
-    for first, block in itertools.groupby(entries):
-        block = list(block)
-        # Only a list equals a list, so when `first` is one, all of `block` are.
-        if (
-            type(first) is list
-            and len(first) == 2
-            and set(map(type, itertools.chain.from_iterable(block))) == {int}
-        ):
-            script += itertools.repeat(ActionPair(*first), len(block))
-        else:
-            script += map(parse_pair, block)
-    return tuple(script)

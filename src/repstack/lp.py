@@ -352,19 +352,27 @@ def threat(game: BimatrixGame) -> ThreatResult:
     assert solution.status is LPStatus.OPTIMAL and solution.values is not None
     strategy = MixedStrategy(tuple(solution.values[:rows]))
     value = solution.values[rows]
-    # Certificate in integers: with x* scaled by the LCM D of its denominators
-    # and M2 by the granularity A, max_j x*.M2 e_j == value iff
-    # max_j (D x*).(A M2) e_j == D * A * value.
+    # Certificate in integers: max_j x*.M2 e_j == value.
+    replies, denominator = reply_values(game, strategy)
+    if max(replies) * value.denominator != denominator * value.numerator:
+        raise RuntimeError("threat solver produced an inconsistent certificate")
+    return ThreatResult(value=value, strategy=strategy)
+
+
+def reply_values(game: BimatrixGame, strategy: MixedStrategy) -> tuple[list[int], int]:
+    """The follower's value x.M2 e_j of every column j against leader mix x.
+
+    Returned as integers over one denominator D * A, with D the LCM of x's
+    denominators and A the game's granularity: (D x).(A M2) e_j per column.
+    """
     scale = math.lcm(*(w.denominator for w in strategy.weights))
     support = [
         (x, _scaled(game.m2[i], game.granularity))
         for i, x in enumerate(_scaled(strategy.weights, scale))
         if x
     ]
-    best_reply = max(sum(x * row[j] for x, row in support) for j in range(cols))
-    if best_reply * value.denominator != scale * game.granularity * value.numerator:
-        raise RuntimeError("threat solver produced an inconsistent certificate")
-    return ThreatResult(value=value, strategy=strategy)
+    replies = [sum(x * row[j] for x, row in support) for j in range(game.cols)]
+    return replies, scale * game.granularity
 
 
 def game_value(game: BimatrixGame) -> Fraction:

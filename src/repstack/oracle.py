@@ -19,7 +19,6 @@ conservative; `best_response` is the complete fallback.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +36,7 @@ from .core import (
 )
 from .gpa import ExactStrategyUnavailable, GamePlayingAlgorithm, History, PrescribedSequenceGPA
 from .gpa import State, history_key
-from .lp import max_follower_pair, stackelberg_lp
+from .lp import max_follower_pair, reply_values, stackelberg_lp
 
 DEFAULT_STATE_BUDGET = 2_000_000
 
@@ -225,20 +224,17 @@ def verify_prescription(
     response deviates, only that this linear check cannot certify obedience.
     """
     _, follower_best = max_follower_pair(game)
-    threat_cap = max(
-        gpa.threat_strategy.expected([game.m2[i][j] for i in range(game.rows)])
-        for j in range(game.cols)
-    )
+    replies, scale = reply_values(game, gpa.threat_strategy)
     # Round t fails when its suffix S_t falls below m + cap * (T - t).  Going
     # back one round adds the round's payoff to S_t and one cap to the bound,
     # so the running margin S_t - cap * (T - t) grows by s = (payoff - cap).
-    # All of it is scaled to integers once.  Within a run of one pair s is
-    # fixed: entering the run from its last round with margin M, round
-    # end + 1 - k has margin M + s*k for k = 1..count, so the run is folded
-    # in closed form.  The pass goes backward, and the last failure it
-    # records is the first round that fails.
-    scale = math.lcm(game.granularity, threat_cap.denominator)
-    cap = int(threat_cap * scale)
+    # All of it is scaled to integers by `scale`, over which the threat cap
+    # (the best reply to the threat) is an integer and which the granularity
+    # divides.  Within a run of one pair s is fixed: entering the run from
+    # its last round with margin M, round end + 1 - k has margin M + s*k for
+    # k = 1..count, so the run is folded in closed form.  The pass goes
+    # backward, and the last failure it records is the first round that fails.
+    cap = max(replies)
     step = [[int(v * scale) - cap for v in row] for row in game.m2]
     best = int(follower_best * scale)
     margin = cap
@@ -324,15 +320,6 @@ class RegretReport:
     best_fixed_action: int
     realized_total: Fraction
 
-    def to_json(self) -> str:
-        return stable_json(
-            {
-                "total_regret": format_rational(self.total_regret),
-                "best_fixed_action": self.best_fixed_action,
-                "realized_total": format_rational(self.realized_total),
-            }
-        )
-
 
 def external_regret(transcript: Transcript, game: BimatrixGame, side: str) -> RegretReport:
     """Exact regret against the realized opponent action sequence."""
@@ -341,18 +328,17 @@ def external_regret(transcript: Transcript, game: BimatrixGame, side: str) -> Re
     if len(transcript) == 0:
         raise EmptyTranscript("regret needs a nonempty transcript")
     # matrix[own - 1][opponent - 1] is the side's payoff; the totals need only
-    # how often each (own, opponent) action pair and opponent action occurred.
-    rows = [p.row for p in transcript.pairs]
-    cols = [p.col for p in transcript.pairs]
+    # how often each pair and each opponent action occurred.
+    leader_total, follower_total = game.totals(transcript.counts)
     if side == "leader":
-        matrix, n_actions = game.m1, game.rows
-        played, opponent = Counter(zip(rows, cols)), Counter(cols)
+        matrix, realized, opponent_index = game.m1, leader_total, 1
     else:
-        matrix, n_actions = tuple(zip(*game.m2)), game.cols
-        played, opponent = Counter(zip(cols, rows)), Counter(rows)
-    realized = sum((matrix[a - 1][b - 1] * c for (a, b), c in played.items()), Fraction(0))
+        matrix, realized, opponent_index = tuple(zip(*game.m2)), follower_total, 0
+    opponent: Counter[int] = Counter()
+    for pair, count in transcript.counts.items():
+        opponent[pair[opponent_index]] += count
     fixed = [sum((row[b - 1] * c for b, c in opponent.items()), Fraction(0)) for row in matrix]
-    best_action = max(range(1, n_actions + 1), key=lambda a: (fixed[a - 1], -a))
+    best_action = max(range(1, len(matrix) + 1), key=lambda a: (fixed[a - 1], -a))
     best_total = fixed[best_action - 1]
     return RegretReport(best_total - realized, best_action, realized)
 

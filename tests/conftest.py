@@ -544,7 +544,7 @@ def fraction_verify_prescription(
     rounds = gpa.horizon
     _, follower_best = max_follower_pair(game)
     threat_cap = max(
-        gpa.threat_strategy.expected([game.m2[i][j] for i in range(game.rows)])
+        sum((w * game.m2[i][j] for i, w in enumerate(gpa.threat_strategy.weights)), Fraction(0))
         for j in range(game.cols)
     )
     suffix = Fraction(0)

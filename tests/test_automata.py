@@ -235,7 +235,8 @@ def test_best_response_long_horizon_pd() -> None:
     start = time.perf_counter()
     result = best_response(leader, PD, horizon, budget=2 * horizon - 1)
     elapsed = time.perf_counter() - start
-    _, follower_total = leader.obedient_transcript().total_payoffs()
+    t = leader.obedient_transcript()
+    _, follower_total = t.game.totals(t.counts)
     assert result.follower_value == follower_total
     assert on_path_transcript(result, PD).pairs == leader.prescription
     assert elapsed < 2.0

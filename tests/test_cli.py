@@ -209,6 +209,22 @@ def test_regret_command(tmp_path, capsys) -> None:
     assert "best fixed action = 1" in out
 
 
+def test_regret_json_bytes(pd_file, tmp_path, capsys) -> None:
+    """Bytes recorded when the report serialized itself."""
+    transcript_path = tmp_path / "transcript.json"
+    transcript_path.write_text('{"pairs": [[1, 1]]}')
+    code, out = run(capsys, "regret", pd_file, str(transcript_path), "--json")
+    assert code == 0
+    assert out == '{"best_fixed_action":2,"realized_total":"3/5","total_regret":"2/5"}\n'
+
+
+def test_threat_refuses_an_underscored_denominator(tmp_path, capsys) -> None:
+    path = tmp_path / "game.json"
+    path.write_text('{"M1": [["1/1_0"]], "M2": [["0"]]}')
+    assert main(["threat", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: M1[1][1]: invalid rational '1/1_0'\n")
+
+
 def test_reduce_command(tmp_path, capsys) -> None:
     graph_path = tmp_path / "c4.txt"
     graph_path.write_text(CYCLE4)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,7 +31,10 @@ from repstack import (
     transcript_to_json,
     validate_game,
 )
-from repstack.gpa import PrescribedSequenceGPA
+from repstack.gpa import MultiplicativeWeightsGPA, MyopicBestResponder, PrescribedSequenceGPA
+from repstack.oracle import simulate
+
+from conftest import random_game
 
 rationals = st.fractions(
     min_value=-(10**9), max_value=10**9, max_denominator=10**9
@@ -48,7 +53,9 @@ def test_parse_rational_accepts_ints_and_strings() -> None:
     assert parse_rational(" 4 ") == Fraction(4)
 
 
-@pytest.mark.parametrize("bad", ["3/0", "1/-2", "x", "1.5", 2.5, None, True])
+@pytest.mark.parametrize(
+    "bad", ["3/0", "1/-2", "x", "1.5", 2.5, None, True, "1/1_0", "\u0663/\u0664", "1/ 2", "1/+2"]
+)
 def test_parse_rational_rejects_garbage(bad) -> None:
     with pytest.raises(RationalParseError):
         parse_rational(bad)
@@ -224,3 +231,59 @@ def test_out_of_bounds_names_the_first_bad_pair_in_script_order(pd_game) -> None
     with pytest.raises(InputError) as gpa_error:
         PrescribedSequenceGPA(pd_game, script, MixedStrategy.pure(2, 2))
     assert str(gpa_error.value) == "prescribed pair ActionPair(row=3, col=2) out of bounds"
+
+
+def _per_round_totals(transcript: Transcript) -> tuple[Fraction, Fraction]:
+    leader = sum((transcript.game.m1[r - 1][c - 1] for r, c in transcript.pairs), Fraction(0))
+    follower = sum((transcript.game.m2[r - 1][c - 1] for r, c in transcript.pairs), Fraction(0))
+    return leader, follower
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_totals_over_pair_counts_equal_per_round_sums(seed: int) -> None:
+    """Random games; scripts with long runs, with one pair per run, and MW
+    play (few runs), each against a per-round `Fraction` sum."""
+    rng = random.Random(4400 + seed)
+    game = random_game(rng, rng.randint(1, 4), rng.randint(1, 4))
+    pairs = list(game.pairs())
+    runs = [p for p in rng.choices(pairs, k=8) for _ in range(rng.randint(1, 50))]
+    scattered = rng.choices(pairs, k=60)
+    leader = MultiplicativeWeightsGPA(game, "leader", Fraction(1, 4))
+    played = simulate(leader, MyopicBestResponder(game, leader), game, 200, seed).pairs
+    for script in (runs, scattered, played):
+        transcript = Transcript(tuple(script), game)
+        assert game.totals(Counter(script)) == _per_round_totals(transcript)
+        assert game.totals(transcript.counts) == _per_round_totals(transcript)
+        assert average_payoffs(transcript) == tuple(v / len(script) for v in _per_round_totals(transcript))
+
+
+def test_transcript_counts_take_no_part_in_eq_hash_or_repr(pd_game) -> None:
+    first = Transcript((ActionPair(1, 1), ActionPair(2, 2), ActionPair(1, 1)), pd_game)
+    second = Transcript(first.pairs, pd_game)
+    assert first.counts == Counter({ActionPair(1, 1): 2, ActionPair(2, 2): 1})
+    assert list(first.counts) == [ActionPair(1, 1), ActionPair(2, 2)]
+    assert [f.name for f in dataclasses.fields(Transcript)] == ["pairs", "game"]
+    second.counts[ActionPair(1, 2)] = 5
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second)
+    assert "counts" not in repr(first)
+
+
+# Messages recorded when every entry was parsed on its own.
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ("[[1,1],[1,true]]", "expected an integer, got True"),
+        ("[[1,1],[1,1.0]]", "expected an integer, got 1.0"),
+        ("[[1,1],[1]]", "expected a [row, col] pair, got [1]"),
+        ('[[1,1],"ab"]', "expected a [row, col] pair, got 'ab'"),
+        ("[[1,1],[1,2,3]]", "expected a [row, col] pair, got [1, 2, 3]"),
+        ("[[1,1],5]", "expected a [row, col] pair, got 5"),
+        ("[5,5]", "expected a [row, col] pair, got 5"),
+        ("[[3,1]]", "pair ActionPair(row=3, col=1) out of bounds for game"),
+    ],
+)
+def test_transcript_from_json_names_the_first_bad_entry(pd_game, pairs, message) -> None:
+    with pytest.raises(InputError) as error:
+        transcript_from_json(f'{{"pairs":{pairs}}}', pd_game)
+    assert str(error.value) == message

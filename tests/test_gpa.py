@@ -29,7 +29,7 @@ from repstack import (
     validate_game,
 )
 from repstack import lp
-from repstack.core import parse_pair
+from repstack.core import parse_pair, parse_pairs
 from repstack.gpa import (
     ExactStrategyUnavailable,
     GrimTriggerGPA,
@@ -373,9 +373,11 @@ def test_prescription_parse_matches_entry_by_entry(pd_game) -> None:
             value = rng.choice(bad) if rng.random() < 0.15 else rng.choice(good)
             entries += [value] * rng.randint(1, 4)
         text = json.dumps({"kind": "prescribed", "prescription": entries, "threat": ["0", "1"]})
+        loaded = json.loads(text)["prescription"]
+        per_entry = None
         try:
-            expected = [parse_pair(entry) for entry in json.loads(text)["prescription"]]
-            expected = PrescribedSequenceGPA(pd_game, expected, MixedStrategy.pure(2, 2)).prescription
+            per_entry = tuple(parse_pair(entry) for entry in loaded)
+            expected = PrescribedSequenceGPA(pd_game, per_entry, MixedStrategy.pure(2, 2)).prescription
         except InputError as exc:
             expected = str(exc)
         try:
@@ -383,6 +385,11 @@ def test_prescription_parse_matches_entry_by_entry(pd_game) -> None:
         except InputError as exc:
             actual = str(exc)
         assert actual == expected, entries
+        try:
+            parsed = parse_pairs(loaded)
+        except InputError as exc:
+            parsed = str(exc)
+        assert parsed == (expected if per_entry is None else per_entry), entries
         outcomes.add(type(expected))
     assert outcomes == {tuple, str}
 

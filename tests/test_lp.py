@@ -13,6 +13,7 @@ from repstack import (
     ActionPair,
     LinearProgram,
     LPStatus,
+    MixedStrategy,
     game_value,
     max_follower_pair,
     simplex_solve,
@@ -20,6 +21,7 @@ from repstack import (
     threat,
     validate_game,
 )
+from repstack.lp import reply_values
 from conftest import random_game
 
 F = Fraction
@@ -786,3 +788,29 @@ def test_game_value_negated_game_equals_validated_game(seed: int, monkeypatch) -
     assert value == -real_threat(expected).value
     if any(v.denominator > 1 for row in game.m2 for v in row):
         assert negated.granularity != game.granularity
+
+
+def _random_mix(rng: random.Random, n: int) -> MixedStrategy:
+    """A mixed strategy over n actions, some weights zero when n > 1."""
+    raw = [rng.choice([0, 0, 1, 2, 3, 5]) for _ in range(n)]
+    raw[rng.randrange(n)] += 1
+    return MixedStrategy(tuple(F(w, sum(raw)) for w in raw))
+
+
+
+SHAPES = [(1, 1), (1, 4), (5, 1), (1, 7), (6, 1)] + [(None, None)] * 7
+
+
+@pytest.mark.parametrize("seed, shape", enumerate(SHAPES))
+def test_reply_values_equal_per_column_fraction_expectation(seed: int, shape) -> None:
+    """Random games, 1 x k and k x 1 shapes included, against mixes with
+    zero weights, pure mixes and the threat strategy."""
+    rng = random.Random(5500 + seed)
+    rows, cols = shape if shape[0] else (rng.randint(2, 5), rng.randint(2, 5))
+    game = random_game(rng, rows, cols, max_denominator=rng.choice([1, 6, 12]))
+    mixes = [_random_mix(rng, rows), MixedStrategy.pure(rng.randint(1, rows), rows)]
+    for x in mixes + [threat(game).strategy]:
+        ints, denominator = reply_values(game, x)
+        expected = [sum((w * game.m2[i][j] for i, w in enumerate(x.weights)), F(0)) for j in range(cols)]
+        assert [F(v, denominator) for v in ints] == expected
+        assert all(type(v) is int for v in ints)
