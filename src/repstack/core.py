@@ -176,6 +176,15 @@ class BimatrixGame:
     def contains(self, pair: ActionPair) -> bool:
         return 1 <= pair.row <= self.rows and 1 <= pair.col <= self.cols
 
+    @functools.cached_property
+    def scaled_m2(self) -> tuple[tuple[int, ...], ...]:
+        """granularity * M2 as integers, computed on the first read.
+
+        A cache, not a field: equality, hashing and repr ignore it.
+        """
+        a = self.granularity
+        return tuple(tuple(v.numerator * (a // v.denominator) for v in row) for row in self.m2)
+
     def totals(self, counts: Mapping[ActionPair, int]) -> tuple[Fraction, Fraction]:
         """Total (leader, follower) payoff over a multiset of pairs, {pair: count}."""
         leader = sum((self.m1[r - 1][c - 1] * n for (r, c), n in counts.items()), Fraction(0))

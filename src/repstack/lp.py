@@ -13,6 +13,15 @@ same optimal vertex for the same program every time.  On top of it sit the
 two game LPs: the zero-sum threat computation, whose certificate
 max_j x*.M2 e_j == V is checked in integers, and the commitment LP that
 bounds what any leader strategy can extract from a best-responding follower.
+
+The threat LP has a fast path that answers with the same vertex.  Its
+integer tableau is built straight from granularity * M2, from a basis that is
+feasible by construction (no artificials, no phase 1), and optimized with
+Dantzig's entering rule.  The answer is used only when every nonbasic reduced
+cost at the optimum is strictly positive (bar the twin of the free value's
+basic half): then the optimum is unique, so it is the vertex that Bland's rule
+reaches too.  Otherwise, or when Dantzig's rule runs into a long degenerate
+run, the threat LP goes through `simplex_solve` as a `LinearProgram`.
 """
 
 from __future__ import annotations
@@ -28,6 +37,10 @@ from .core import ActionPair, BimatrixGame, InputError, MixedStrategy
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Dantzig's rule gives up after this many pivots in a row that leave the
+# objective unchanged; the threat LP then goes through `simplex_solve`.
+MAX_DEGENERATE_RUN = 50
 
 
 class LPStatus(Enum):
@@ -109,9 +122,10 @@ def _pivot(
     The tableau holds `denominator` times the true rational tableau.  Every
     other row becomes (p*row - row[e]*pivot_row) / denominator, where p is the
     pivot, and the division is exact by Sylvester's identity.  A negative
-    pivot (possible when driving out artificials) first negates the pivot
-    row, which negates every row of the result and keeps the denominator
-    positive, so signs in the tableau are the true tableau's signs.
+    pivot (possible when driving out artificials or installing the threat
+    LP's start basis) first negates the pivot row, which negates every row
+    of the result and keeps the denominator positive, so signs in the
+    tableau are the true tableau's signs.
     """
     row = tableau[pivot_row]
     if row[pivot_col] < 0:
@@ -128,26 +142,34 @@ def _pivot(
     return p
 
 
-def _bland_optimize(
-    tableau: list[list[int]], basis: list[int], n_cols: int, denominator: int
-) -> tuple[LPStatus, int, int]:
+def _optimize(
+    tableau: list[list[int]], basis: list[int], n_cols: int, denominator: int, dantzig: bool = False
+) -> tuple[LPStatus | None, int, int]:
     """Run simplex iterations on a feasible tableau until optimal or unbounded.
 
-    Row 0 holds reduced costs for maximization (entering while any is < 0);
-    entering column is the lowest-index eligible one and the leaving row is
-    the minimum-ratio row with the lowest basis variable index (Bland's rule,
-    which guarantees termination on degenerate programs).  Ratios share the
-    tableau's denominator, so they are compared by cross-multiplication.
+    Row 0 holds reduced costs for maximization (entering while any is < 0).
+    Bland's rule enters the lowest-index eligible column; with `dantzig` the
+    most negative reduced cost enters, lowest index on a tie.  Either way the
+    leaving row is the minimum-ratio row with the lowest basis variable index.
+    Ratios share the tableau's denominator, so they are compared by
+    cross-multiplication.  Bland's rule terminates on every program.
+    Dantzig's can cycle, so it gives up (status None) once more than
+    `MAX_DEGENERATE_RUN` pivots in a row leave the objective unchanged.
     Returns the status, the final denominator and the number of pivots.
     """
     m = len(tableau) - 1
-    pivots = 0
+    pivots = degenerate = 0
     while True:
-        entering = -1
-        for j in range(n_cols):
-            if tableau[0][j] < 0:
-                entering = j
-                break
+        costs = tableau[0]
+        if dantzig:
+            lowest = min(costs[:n_cols])
+            entering = costs.index(lowest) if lowest < 0 else -1
+        else:
+            entering = -1
+            for j in range(n_cols):
+                if costs[j] < 0:
+                    entering = j
+                    break
         if entering < 0:
             return LPStatus.OPTIMAL, denominator, pivots
         leaving = -1
@@ -165,6 +187,10 @@ def _bland_optimize(
                     leaving = i
         if leaving < 0:
             return LPStatus.UNBOUNDED, denominator, pivots
+        if dantzig:
+            degenerate = degenerate + 1 if tableau[leaving][-1] == 0 else 0
+            if degenerate > MAX_DEGENERATE_RUN:
+                return None, denominator, pivots
         denominator = _pivot(tableau, leaving, entering, denominator)
         basis[leaving - 1] = entering
         pivots += 1
@@ -256,7 +282,7 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
         tableau.append(scaled[:-1] + art + scaled[-1:])
         basis.append(n_real + i)
     _rebuild_cost_row(tableau, basis, [0] * n_real + [-1] * m, 1)
-    status, denominator, phase1_pivots = _bland_optimize(tableau, basis, n_real + m, 1)
+    status, denominator, phase1_pivots = _optimize(tableau, basis, n_real + m, 1)
     assert status is LPStatus.OPTIMAL  # phase 1 objective is bounded above by 0
     if tableau[0][-1] != 0:
         return LPSolution(LPStatus.INFEASIBLE, pivots=(phase1_pivots, 0))
@@ -285,9 +311,7 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
     cost_scale = math.lcm(*(c.denominator for c in lp.objective))
     costs = _standard_row(lp.objective, cost_scale, free) + [0] * n_slacks
     _rebuild_cost_row(tableau, basis, costs, denominator)
-    status, denominator, phase2_pivots = _bland_optimize(
-        tableau, basis, n_real, denominator
-    )
+    status, denominator, phase2_pivots = _optimize(tableau, basis, n_real, denominator)
     pivots = (phase1_pivots, phase2_pivots)
     if status is LPStatus.UNBOUNDED:
         return LPSolution(LPStatus.UNBOUNDED, pivots=pivots)
@@ -333,11 +357,32 @@ class ThreatResult:
 
 
 def threat(game: BimatrixGame) -> ThreatResult:
-    """Solve min over leader mixed x of max over follower columns of x.M2."""
+    """Solve min over leader mixed x of max over follower columns of x.M2.
+
+    The answer is the vertex that `simplex_solve` picks on `_threat_program`.
+    `_certified_threat` reaches it from a feasible start when the optimum is
+    unique; otherwise the program goes through `simplex_solve`.
+    """
+    certified = _certified_threat(game)
+    if certified is None:
+        solution = simplex_solve(_threat_program(game))
+        assert solution.status is LPStatus.OPTIMAL and solution.values is not None
+        weights, value = solution.values[: game.rows], solution.values[game.rows]
+    else:
+        weights, value = certified
+    strategy = MixedStrategy(tuple(weights))
+    # Certificate in integers: max_j x*.M2 e_j == value.
+    replies, denominator = reply_values(game, strategy)
+    if max(replies) * value.denominator != denominator * value.numerator:
+        raise RuntimeError("threat solver produced an inconsistent certificate")
+    return ThreatResult(value=value, strategy=strategy)
+
+
+def _threat_program(game: BimatrixGame) -> LinearProgram:
+    """The threat LP over x_1..x_rows and a free v."""
     rows, cols = game.rows, game.cols
     # Variables: x_1..x_rows, v.  Maximize -v subject to
     # v - sum_i x_i M2[i][j] >= 0 for every column j, sum_i x_i = 1.
-    n = rows + 1
     objective = tuple([ZERO] * rows + [Fraction(-1)])
     a_ge = tuple(
         tuple([-game.m2[i][j] for i in range(rows)] + [ONE]) for j in range(cols)
@@ -346,17 +391,59 @@ def threat(game: BimatrixGame) -> ThreatResult:
     a_eq = (tuple([ONE] * rows + [ZERO]),)
     b_eq = (ONE,)
     lower = tuple([ZERO] * rows + [None])
-    solution = simplex_solve(
-        LinearProgram(objective, a_eq, b_eq, a_ge, b_ge, lower)
-    )
-    assert solution.status is LPStatus.OPTIMAL and solution.values is not None
-    strategy = MixedStrategy(tuple(solution.values[:rows]))
-    value = solution.values[rows]
-    # Certificate in integers: max_j x*.M2 e_j == value.
-    replies, denominator = reply_values(game, strategy)
-    if max(replies) * value.denominator != denominator * value.numerator:
-        raise RuntimeError("threat solver produced an inconsistent certificate")
-    return ThreatResult(value=value, strategy=strategy)
+    return LinearProgram(objective, a_eq, b_eq, a_ge, b_ge, lower)
+
+
+def _certified_threat(game: BimatrixGame) -> tuple[list[Fraction], Fraction] | None:
+    """(x*, v) of the threat LP when its optimum is provably unique, else None.
+
+    The integer tableau comes straight from A*M2, A the granularity, over
+    the columns x_1..x_rows, w+, w-, s_1..s_cols, where w = A*v = w+ - w-
+    and s_j = A*(v - x.M2 e_j), so every coefficient but x's is +-1:
+    row 1 is sum_i x_i = 1 and row 1 + j is -x.(A*M2) e_j + w+ - w- - s_j = 0.
+    The start basis needs no phase 1: x_1 = 1, w basic in the row of
+    j* = argmax_j M2[1][j] (through w- when that entry is negative) and
+    s_j = w - (A*M2)[1][j] >= 0 basic in every other row.  Dantzig's rule
+    runs phase 2.  At its optimum, a strictly positive reduced cost on every
+    nonbasic column except the twin of w's basic half (whose reduced cost is
+    0, and moving it leaves w unchanged) means no other feasible point is
+    optimal; so the vertex is the one any pivot rule reaches, Bland's
+    included.  Without that certificate, or when Dantzig's rule stalls on a
+    long degenerate run, this returns None.
+    """
+    rows, cols = game.rows, game.cols
+    scaled = game.scaled_m2
+    w = rows  # w+ is column w, w- is column w + 1
+    n = rows + 2 + cols
+    cost = [0] * (n + 1)
+    cost[w], cost[w + 1] = 1, -1  # row 0 starts at -c for maximize -w+ + w-
+    tableau = [cost, [1] * rows + [0] * (cols + 2) + [1]]
+    for j in range(cols):
+        row = [-scaled[i][j] for i in range(rows)] + [1, -1] + [0] * (cols + 1)
+        row[w + 2 + j] = -1
+        tableau.append(row)
+    first = scaled[0]
+    top = first.index(max(first))
+    basis = [0] + [w + 2 + j for j in range(cols)]
+    basis[1 + top] = w if first[top] >= 0 else w + 1
+    denominator = 1
+    for i, var in enumerate(basis, start=1):
+        denominator = _pivot(tableau, i, var, denominator)
+    status, denominator, _ = _optimize(tableau, basis, n, denominator, dantzig=True)
+    if status is not LPStatus.OPTIMAL:
+        return None
+    # The twin of w's basic half; if neither half is basic, the check below
+    # fails on w-, whose reduced cost is then 0 like w+'s.
+    twin = w + 1 if w in basis else w
+    costs, basic = tableau[0], set(basis)
+    if any(costs[j] <= 0 for j in range(n) if j != twin and j not in basic):
+        return None
+    values = [0] * n
+    for var, row in zip(basis, tableau[1:]):
+        values[var] = row[-1]
+    weights = [Fraction(values[i], denominator) for i in range(rows)]
+    value = Fraction(values[w] - values[w + 1], denominator * game.granularity)
+    return weights, value
 
 
 def reply_values(game: BimatrixGame, strategy: MixedStrategy) -> tuple[list[int], int]:
@@ -367,9 +454,7 @@ def reply_values(game: BimatrixGame, strategy: MixedStrategy) -> tuple[list[int]
     """
     scale = math.lcm(*(w.denominator for w in strategy.weights))
     support = [
-        (x, _scaled(game.m2[i], game.granularity))
-        for i, x in enumerate(_scaled(strategy.weights, scale))
-        if x
+        (x, game.scaled_m2[i]) for i, x in enumerate(_scaled(strategy.weights, scale)) if x
     ]
     replies = [sum(x * row[j] for x, row in support) for j in range(game.cols)]
     return replies, scale * game.granularity

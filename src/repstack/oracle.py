@@ -230,12 +230,14 @@ def verify_prescription(
     # so the running margin S_t - cap * (T - t) grows by s = (payoff - cap).
     # All of it is scaled to integers by `scale`, over which the threat cap
     # (the best reply to the threat) is an integer and which the granularity
-    # divides.  Within a run of one pair s is fixed: entering the run from
-    # its last round with margin M, round end + 1 - k has margin M + s*k for
+    # divides, so each step is `factor` times an entry of A*M2 less the cap.
+    # Within a run of one pair s is fixed: entering the run from its last
+    # round with margin M, round end + 1 - k has margin M + s*k for
     # k = 1..count, so the run is folded in closed form.  The pass goes
     # backward, and the last failure it records is the first round that fails.
     cap = max(replies)
-    step = [[int(v * scale) - cap for v in row] for row in game.m2]
+    factor = scale // game.granularity
+    step = [[factor * v - cap for v in row] for row in game.scaled_m2]
     best = int(follower_best * scale)
     margin = cap
     first_failure = None

@@ -269,6 +269,18 @@ def test_transcript_counts_take_no_part_in_eq_hash_or_repr(pd_game) -> None:
     assert "counts" not in repr(first)
 
 
+def test_scaled_m2_takes_no_part_in_eq_hash_or_repr() -> None:
+    game = validate_game([[0, 1], [1, 0]], [["1/2", "-1/3"], [1, "1/6"]])
+    other = validate_game(game.m1, game.m2)
+    assert game.scaled_m2 == ((3, -2), (6, 1))  # granularity 6
+    assert game.scaled_m2 is game.scaled_m2  # computed once
+    assert [f.name for f in dataclasses.fields(game)] == ["rows", "cols", "m1", "m2", "granularity"]
+    assert "scaled_m2" not in vars(other)
+    assert game == other and hash(game) == hash(other)
+    assert repr(game) == repr(other)
+    assert "scaled_m2" not in repr(game)
+
+
 # Messages recorded when every entry was parsed on its own.
 @pytest.mark.parametrize(
     "pairs, message",

@@ -411,17 +411,26 @@ def test_prescription_runs(pd_game) -> None:
     ids=["deterministic", "sampled"],
 )
 def test_construction_solves_two_linear_programs(pd_game, monkeypatch, construct) -> None:
-    """One threat LP and one commitment LP: the threat is solved only once."""
+    """One threat LP and one commitment LP: the threat is solved only once.
+
+    Every threat solve starts in `_certified_threat`, and PD's threat is
+    certified there, so `simplex_solve` sees the commitment LP alone.
+    """
     calls = []
-    solve = lp.simplex_solve
 
-    def counting_solve(program):
-        calls.append(program)
-        return solve(program)
+    def counting(name):
+        solve = getattr(lp, name)
 
-    monkeypatch.setattr(lp, "simplex_solve", counting_solve)
+        def counted(arg):
+            calls.append(name)
+            return solve(arg)
+
+        monkeypatch.setattr(lp, name, counted)
+
+    counting("_certified_threat")
+    counting("simplex_solve")
     construct(pd_game)
-    assert len(calls) == 2
+    assert calls == ["_certified_threat", "simplex_solve"]
 
 
 @pytest.mark.parametrize("seed", range(6))

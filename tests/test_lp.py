@@ -419,16 +419,34 @@ def _recorded_programs(monkeypatch, run) -> list[LinearProgram]:
     return programs
 
 
-def _game_programs() -> None:
+def _game_programs(monkeypatch) -> list[LinearProgram]:
+    """Per game: its threat program (solved once by `threat` and once inside
+    `stackelberg_lp`), the commitment program, the threat program of the
+    negated game (`game_value`'s) and the follower-side dual.
+
+    A certified threat never calls the solver, so the threat programs are
+    built with `_threat_program`; the commitment and dual programs are the
+    ones the solver receives, less the threat program that `stackelberg_lp`
+    hands it when its threat falls back.
+    """
+    from repstack.lp import _threat_program
+
     rng = random.Random(5000)
+    programs: list[LinearProgram] = []
     for granularity in (1, 2, 6, 60):
         for zero_sum in (False, True):
             for _ in range(6):
                 game = _granular_game(rng, rng.randint(1, 4), rng.randint(1, 4), granularity, zero_sum)
-                threat(game)
-                stackelberg_lp(game)
-                game_value(game)
-                _threat_dual_value(game)
+                threat_program = _threat_program(game)
+                commitment = [
+                    program
+                    for program in _recorded_programs(monkeypatch, lambda: stackelberg_lp(game))
+                    if program != threat_program
+                ]
+                programs += [threat_program, threat_program, *commitment]
+                programs.append(_threat_program(_negated(game)))
+                programs += _recorded_programs(monkeypatch, lambda: _threat_dual_value(game))
+    return programs
 
 
 @pytest.mark.parametrize("source", ["literal", "random", "games"])
@@ -443,7 +461,7 @@ def test_simplex_matches_fraction_reference(source: str, monkeypatch) -> None:
         rng = random.Random(6000)
         programs = [_random_program(rng) for _ in range(400)]
     else:
-        programs = _recorded_programs(monkeypatch, _game_programs)
+        programs = _game_programs(monkeypatch)
         # threat; threat and commitment; game value; the dual: 5 per game
         assert len(programs) == 4 * 2 * 6 * 5
     statuses = set()
@@ -745,6 +763,7 @@ def test_threat_certificate_rejects_non_optimal_strategy(name: str, pd_game, mon
     optimum = threat(game)
     if name == "mixed-denominators":
         assert (optimum.value, optimum.strategy.weights) == (F(3, 20), (F(1, 2), F(1, 2)))
+    assert lp._certified_threat(game) is not None  # both paths below are live
     solve = lp.simplex_solve
     alternatives = [
         tuple(F(int(i == k)) for i in range(game.rows)) for k in range(game.rows)
@@ -757,8 +776,15 @@ def test_threat_certificate_rejects_non_optimal_strategy(name: str, pd_game, mon
             solution = solve(program)
             return dataclasses.replace(solution, values=weights + solution.values[game.rows :])
 
+        # The fallback: `simplex_solve` returns the non-optimal point.
         with monkeypatch.context() as patch:
+            patch.setattr(lp, "_certified_threat", lambda game: None)
             patch.setattr(lp, "simplex_solve", non_optimal)
+            with pytest.raises(RuntimeError, match="inconsistent certificate"):
+                threat(game)
+        # The certified path returns it.
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "_certified_threat", lambda game: (list(weights), optimum.value))
             with pytest.raises(RuntimeError, match="inconsistent certificate"):
                 threat(game)
 
@@ -814,3 +840,52 @@ def test_reply_values_equal_per_column_fraction_expectation(seed: int, shape) ->
         expected = [sum((w * game.m2[i][j] for i, w in enumerate(x.weights)), F(0)) for j in range(cols)]
         assert [F(v, denominator) for v in ints] == expected
         assert all(type(v) is int for v in ints)
+
+
+# Shapes for the fast-path differential: one row, one column, then
+# rectangular games up to 12x12.
+def _differential_shape(rng: random.Random, draw: int) -> tuple[int, int]:
+    if draw % 6 == 0:
+        return 1, rng.randint(1, 12)
+    if draw % 6 == 1:
+        return rng.randint(1, 12), 1
+    return rng.randint(2, 12), rng.randint(2, 12)
+
+
+def test_threat_matches_bland_vertex() -> None:
+    """`threat` and `game_value` give the vertex that Bland's-rule simplex
+    picks on the threat program, whether the fast path certifies it or
+    `threat` falls back; both paths run."""
+    from conftest import fraction_simplex_solve
+    from repstack.lp import _certified_threat, _threat_program
+
+    rng = random.Random(8000)
+    certified = fallbacks = 0
+    for granularity in (1, 2, 6, 60):
+        for draw in range(30):
+            rows, cols = _differential_shape(rng, draw)
+            game = _granular_game(rng, rows, cols, granularity, zero_sum=draw % 5 == 4)
+            for target in (game, _negated(game)):
+                reference = fraction_simplex_solve(_threat_program(target))
+                result = threat(target)
+                assert result.strategy.weights == reference.values[:rows], target
+                assert result.value == reference.values[rows], target
+                if _certified_threat(target) is None:
+                    fallbacks += 1
+                else:
+                    certified += 1
+            assert game_value(game) == -reference.values[rows], game
+    # 181 certified and 59 fallbacks when this test was written.
+    assert certified >= 160 and fallbacks >= 40, (certified, fallbacks)
+
+
+def test_threat_falls_back_when_dantzig_gives_up(pd_game, monkeypatch) -> None:
+    """A fast path that gives up on a degenerate run returns None, and
+    `threat` answers through `simplex_solve` with the same vertex."""
+    from repstack import lp
+
+    expected = threat(pd_game)
+    assert lp._certified_threat(pd_game) is not None
+    monkeypatch.setattr(lp, "MAX_DEGENERATE_RUN", -1)  # the first pivot is past the bound
+    assert lp._certified_threat(pd_game) is None
+    assert threat(pd_game) == expected
