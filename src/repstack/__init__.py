@@ -21,8 +21,6 @@ from .core import (
     format_rational,
     game_from_json,
     game_to_json,
-    pair_order_key,
-    pair_ordering,
     parse_rational,
     transcript_from_json,
     transcript_to_json,
@@ -66,7 +64,6 @@ from .lp import (
     StackelbergSolution,
     ThreatResult,
     game_value,
-    max_follower_pair,
     simplex_solve,
     stackelberg_lp,
     threat,

@@ -1,4 +1,4 @@
-"""Exact game representation: rationals, bimatrix games, pair orderings, transcripts.
+"""Exact game representation: rationals, bimatrix games, transcripts.
 
 Every payoff, probability and solver quantity in this package is a
 `fractions.Fraction`; nothing in a solver path ever touches floating point.
@@ -16,7 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class InputError(ValueError):
@@ -168,28 +168,79 @@ class BimatrixGame:
         return self.m2[pair.row - 1][pair.col - 1]
 
     def pairs(self) -> Iterator[ActionPair]:
-        """All action pairs in row-major order."""
-        for row in range(1, self.rows + 1):
-            for col in range(1, self.cols + 1):
-                yield ActionPair(row, col)
+        """All action pairs in row-major order, the objects of `pair_table`."""
+        return itertools.chain.from_iterable(self.pair_table)
 
     def contains(self, pair: ActionPair) -> bool:
         return 1 <= pair.row <= self.rows and 1 <= pair.col <= self.cols
 
+    # The cached properties below are the game's integer, interned view, each
+    # computed on its first read.  They are caches, not fields: equality,
+    # hashing and repr ignore them.
+
+    @functools.cached_property
+    def pair_table(self) -> tuple[tuple[ActionPair, ...], ...]:
+        """`pair_table[row - 1][col - 1]` is the one `ActionPair` of (row, col)."""
+        return tuple(
+            tuple(ActionPair(row, col) for col in range(1, self.cols + 1))
+            for row in range(1, self.rows + 1)
+        )
+
+    @functools.cached_property
+    def scaled_m1(self) -> tuple[tuple[int, ...], ...]:
+        """granularity * M1 as integers."""
+        return tuple(tuple(as_integers(row, self.granularity)) for row in self.m1)
+
     @functools.cached_property
     def scaled_m2(self) -> tuple[tuple[int, ...], ...]:
-        """granularity * M2 as integers, computed on the first read.
+        """granularity * M2 as integers."""
+        return tuple(tuple(as_integers(row, self.granularity)) for row in self.m2)
 
-        A cache, not a field: equality, hashing and repr ignore it.
+    @functools.cached_property
+    def pair_ordering(self) -> tuple[ActionPair, ...]:
+        """All pairs by nondecreasing follower payoff.
+
+        Ties are broken by nonincreasing leader payoff (the leader-favorable
+        choice), then lexicographically by (row, col), which makes the
+        ordering deterministic for a fixed game.  Scaling both payoffs by the
+        granularity keeps their order, so the key is integer.
         """
-        a = self.granularity
-        return tuple(tuple(v.numerator * (a // v.denominator) for v in row) for row in self.m2)
+        m1, m2 = self.scaled_m1, self.scaled_m2
+        return tuple(
+            sorted(
+                self.pairs(),
+                key=lambda p: (m2[p.row - 1][p.col - 1], -m1[p.row - 1][p.col - 1], p),
+            )
+        )
+
+    @functools.cached_property
+    def max_follower_pair(self) -> tuple[ActionPair, Fraction]:
+        """The pair with maximal follower payoff, and that payoff.
+
+        Ties go to the pair with maximal leader payoff, then to the first in
+        row-major order; the reward rounds of the constructions use this pair.
+        """
+        m1, m2 = self.scaled_m1, self.scaled_m2
+        # `max` keeps the first of equal keys, and `pairs` runs row-major.
+        best = max(
+            self.pairs(), key=lambda p: (m2[p.row - 1][p.col - 1], m1[p.row - 1][p.col - 1])
+        )
+        return best, self.follower_payoff(best)
 
     def totals(self, counts: Mapping[ActionPair, int]) -> tuple[Fraction, Fraction]:
         """Total (leader, follower) payoff over a multiset of pairs, {pair: count}."""
-        leader = sum((self.m1[r - 1][c - 1] * n for (r, c), n in counts.items()), Fraction(0))
-        follower = sum((self.m2[r - 1][c - 1] * n for (r, c), n in counts.items()), Fraction(0))
-        return leader, follower
+        m1, m2 = self.scaled_m1, self.scaled_m2
+        leader = follower = 0
+        for (r, c), n in counts.items():
+            if n:
+                leader += n * m1[r - 1][c - 1]
+                follower += n * m2[r - 1][c - 1]
+        return Fraction(leader, self.granularity), Fraction(follower, self.granularity)
+
+
+def as_integers(values: Iterable[Fraction], scale: int) -> list[int]:
+    """`scale` times each of `values`, as integers; `scale` is a common denominator."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _parse_matrix(raw: Sequence[Sequence[object]], name: str) -> list[list[Fraction]]:
@@ -241,21 +292,6 @@ def validate_game(
         m2=tuple(tuple(row) for row in follower),
         granularity=math.lcm(*denominators),
     )
-
-
-def pair_order_key(game: BimatrixGame) -> Callable[[ActionPair], tuple]:
-    """Sort key for pairs: nondecreasing follower payoff.
-
-    Ties are broken by nonincreasing leader payoff (the leader-favorable
-    choice), then lexicographically by (row, col), which makes the ordering
-    deterministic for a fixed game.
-    """
-    return lambda p: (game.follower_payoff(p), -game.leader_payoff(p), p.row, p.col)
-
-
-def pair_ordering(game: BimatrixGame) -> tuple[ActionPair, ...]:
-    """All action pairs of the game sorted by `pair_order_key`."""
-    return tuple(sorted(game.pairs(), key=pair_order_key(game)))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ import bisect
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
@@ -37,15 +38,15 @@ from .core import (
     InputError,
     MixedStrategy,
     Transcript,
+    as_integers,
     format_rational,
-    pair_ordering,
     parse_integer,
     parse_pair,
     parse_pairs,
     parse_rational,
     stable_json,
 )
-from .lp import StackelbergSolution, max_follower_pair, reply_values, stackelberg_lp
+from .lp import StackelbergSolution, reply_values, stackelberg_lp
 from .lp import threat  # noqa: F401 -- kept bound: perfbench/tracer.py wraps gpa.threat
 
 _STREAM_SAMPLES = 3
@@ -207,13 +208,10 @@ def build_deterministic_gpa(
     reward_rounds = horizon % cycle_length or cycle_length
     cycles = (horizon - reward_rounds) // cycle_length
     block = cycles * cycle_length
-    canonical = pair_ordering(game)
-    counts: dict[ActionPair, int] = {}
-    for pair in canonical:
-        weight = solution.alpha[pair] * block
-        assert weight.denominator == 1
-        counts[pair] = int(weight)
-    reward_pair, _ = max_follower_pair(game)
+    canonical = game.pair_ordering
+    # Each weight's denominator divides N, so c*N is a common denominator.
+    counts = dict(zip(canonical, as_integers([solution.alpha[p] for p in canonical], block)))
+    reward_pair, _ = game.max_follower_pair
     prescription = _expand(canonical, counts) + (reward_pair,) * reward_rounds
     gpa = PrescribedSequenceGPA(game, prescription, solution.threat.strategy)
     params = CycleParameters(cycle_length, cycles, reward_rounds, counts)
@@ -252,7 +250,7 @@ def sample_prescription(
         raise HorizonTooShort(horizon, 2)
     solution = stackelberg_lp(game)
     threat_result = solution.threat
-    reward_pair, follower_max = max_follower_pair(game)
+    reward_pair, follower_max = game.max_follower_pair
 
     if follower_max == threat_result.value:
         # The follower will settle for nothing less than their maximum, so
@@ -267,7 +265,7 @@ def sample_prescription(
     denominator = math.lcm(*(w.denominator for w in weights))
     thresholds = [
         -(-(cumulative << 64) // denominator)
-        for cumulative in itertools.accumulate(int(w * denominator) for w in weights)
+        for cumulative in itertools.accumulate(as_integers(weights, denominator))
     ]
     draw = CounterRng(seed, _STREAM_SAMPLES).u64
     drawn = [0] * len(all_pairs)
@@ -282,17 +280,24 @@ def sample_prescription(
     # follower_max * (T - 1) >= V * (T - 1).  The leader tie-break never
     # applies: alpha is a vertex of a two-row LP, so at most two pairs are
     # drawn, and while a deficit remains their follower payoffs differ.
-    deficit = threat_result.value * (horizon - 1) - game.totals(counts)[1]
+    # The deficit and the gains are integers in units of 1 / (A * d), with A
+    # the granularity and d the denominator of V.
+    scaled = game.scaled_m2
+    d = threat_result.value.denominator
+    best = scaled[reward_pair.row - 1][reward_pair.col - 1]
+    drawn_total = sum(map(operator.mul, drawn, itertools.chain.from_iterable(scaled)))
+    deficit = threat_result.value.numerator * game.granularity * (horizon - 1) - d * drawn_total
     swaps = 0
     repaired = dict(counts)
-    canonical = pair_ordering(game)
+    canonical = game.pair_ordering
     for pair in canonical:
         if deficit <= 0:
             break
-        if pair == reward_pair:
+        count = counts[pair]
+        if not count or pair == reward_pair:
             continue
-        gain = follower_max - game.follower_payoff(pair)
-        taken = min(counts[pair], math.ceil(deficit / gain))
+        gain = d * (best - scaled[pair.row - 1][pair.col - 1])
+        taken = min(count, -(-deficit // gain))
         repaired[pair] -= taken
         swaps += taken
         deficit -= taken * gain

@@ -25,6 +25,7 @@ from .core import (
     BimatrixGame,
     InputError,
     MixedStrategy,
+    as_integers,
     format_rational,
     stable_json,
     validate_game,
@@ -275,24 +276,21 @@ def player3_audit(
         raise DimensionMismatch(
             f"strategies must range over {n} vertices, got {len(p1)} and {len(p2)}"
         )
-    best_index = 0
-    best_value: Fraction | None = None
-    for t in range(k):
-        total = Fraction(0)
-        for r in range(1, n + 1):
-            wr = p1.probability(r)
-            if wr == 0:
-                continue
-            for s in range(1, n + 1):
-                ws = p2.probability(s)
-                if ws == 0:
-                    continue
-                total += wr * ws * game3.payoff3(r, s, t)
-        if best_value is None or total > best_value:
-            best_value = total
-            best_index = t
-    assert best_value is not None
-    return best_index, best_value
+    # Contracted in integers: each strategy's weights over the LCM of their
+    # denominators, and the payoff cells they reach over the LCM of theirs.
+    scale1 = math.lcm(*(w.denominator for w in p1.weights))
+    scale2 = math.lcm(*(w.denominator for w in p2.weights))
+    q1, q2 = as_integers(p1.weights, scale1), as_integers(p2.weights, scale2)
+    weights, cells = zip(
+        *((x * y, game3.mu3[r][s]) for r, x in enumerate(q1) if x for s, y in enumerate(q2) if y)
+    )
+    scale = math.lcm(*(v.denominator for cell in cells for v in cell))
+    totals = [
+        sum(map(operator.mul, weights, as_integers(column, scale))) for column in zip(*cells)
+    ]
+    # `max` keeps the first of equal totals: the lowest index.
+    best_index = max(range(k), key=totals.__getitem__)
+    return best_index, Fraction(totals[best_index], scale * scale1 * scale2)
 
 
 def _grid_points(n: int, resolution: int) -> Iterator[tuple[int, ...]]:

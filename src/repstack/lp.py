@@ -33,7 +33,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import ActionPair, BimatrixGame, InputError, MixedStrategy
+from .core import ActionPair, BimatrixGame, InputError, MixedStrategy, as_integers
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -212,11 +212,6 @@ def _rebuild_cost_row(
     tableau[0] = row0
 
 
-def _scaled(values: Sequence[Fraction], scale: int) -> list[int]:
-    """`scale` times `values`, as integers; `scale` is a common denominator."""
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
 def _standard_row(row: Sequence[Fraction], scale: int, free: Sequence[int]) -> list[int]:
     """`scale` times `row` over the standard columns, as integers.
 
@@ -224,7 +219,7 @@ def _standard_row(row: Sequence[Fraction], scale: int, free: Sequence[int]) -> l
     `j` (listed in increasing order in `free`) also gets the negated
     coefficient in the column right after it.
     """
-    out = _scaled(row, scale)
+    out = as_integers(row, scale)
     for j in reversed(free):
         out.insert(j + 1, -out[j])
     return out
@@ -454,7 +449,7 @@ def reply_values(game: BimatrixGame, strategy: MixedStrategy) -> tuple[list[int]
     """
     scale = math.lcm(*(w.denominator for w in strategy.weights))
     support = [
-        (x, game.scaled_m2[i]) for i, x in enumerate(_scaled(strategy.weights, scale)) if x
+        (x, game.scaled_m2[i]) for i, x in enumerate(as_integers(strategy.weights, scale)) if x
     ]
     replies = [sum(x * row[j] for x, row in support) for j in range(game.cols)]
     return replies, scale * game.granularity
@@ -504,29 +499,17 @@ def stackelberg_lp(game: BimatrixGame) -> StackelbergSolution:
     the maximum leader payoff.
     """
     threat_result = threat(game)
-    all_pairs = list(game.pairs())
-    objective = tuple(game.leader_payoff(p) for p in all_pairs)
-    a_ge = (tuple(game.follower_payoff(p) for p in all_pairs),)
+    # Variables: the weight of each pair, in row-major order.
+    objective = tuple(itertools.chain.from_iterable(game.m1))
+    a_ge = (tuple(itertools.chain.from_iterable(game.m2)),)
     b_ge = (threat_result.value,)
-    a_eq = (tuple(ONE for _ in all_pairs),)
+    a_eq = ((ONE,) * len(objective),)
     b_eq = (ONE,)
     solution = simplex_solve(LinearProgram(objective, a_eq, b_eq, a_ge, b_ge))
     assert solution.status is LPStatus.OPTIMAL and solution.values is not None
-    alpha = dict(zip(all_pairs, solution.values))
+    alpha = dict(zip(game.pairs(), solution.values))
     assert solution.objective_value is not None
     return StackelbergSolution(
         alpha=alpha, value=solution.objective_value, threat=threat_result
     )
 
-
-def max_follower_pair(game: BimatrixGame) -> tuple[ActionPair, Fraction]:
-    """The pair with maximal follower payoff.
-
-    Ties go to the pair with maximal leader payoff, then lexicographically by
-    (row, col); the reward rounds appended by the constructions use this pair.
-    """
-    best = min(
-        game.pairs(),
-        key=lambda p: (-game.follower_payoff(p), -game.leader_payoff(p), p.row, p.col),
-    )
-    return best, game.follower_payoff(best)

@@ -36,7 +36,7 @@ from .core import (
 )
 from .gpa import ExactStrategyUnavailable, GamePlayingAlgorithm, History, PrescribedSequenceGPA
 from .gpa import State, history_key
-from .lp import max_follower_pair, reply_values, stackelberg_lp
+from .lp import reply_values, stackelberg_lp
 
 DEFAULT_STATE_BUDGET = 2_000_000
 
@@ -115,6 +115,7 @@ def best_response(
         raise InputError("horizon must be at least 1")
     if budget < 1:
         raise InputError(f"state budget must be at least 1, got {budget}")
+    _check_actions(leader, "leader", game.rows)
     if not leader.exact:
         raise ExactStrategyUnavailable(
             "best response requires the leader's exact conditional strategies"
@@ -123,6 +124,7 @@ def best_response(
     # layers[t] maps each state after t rounds to its leader support and, per
     # column, the successor state of each support row.
     layers: list[dict[State, tuple[list, list[list[State]]]]] = []
+    columns = tuple(zip(*game.pair_table))
     frontier: dict[State, None] = {leader.initial_state(): None}
     visited = 0
     for t in range(horizon):
@@ -139,8 +141,8 @@ def best_response(
                 if weight > 0
             ]
             children = [
-                [leader.step(state, ActionPair(row, col)) for row, _ in support]
-                for col in range(1, game.cols + 1)
+                [leader.step(state, column[row - 1]) for row, _ in support]
+                for column in columns
             ]
             for column_children in children:
                 successors.update(dict.fromkeys(column_children))
@@ -188,13 +190,14 @@ def on_path_transcript(result: BestResponseResult, game: BimatrixGame) -> Transc
     where the leader mixes.
     """
     leader = result.leader
+    _check_actions(leader, "leader", game.rows)
     state = leader.initial_state()
     pairs = []
     for t in range(len(result.decisions)):
         support = leader.strategy_at(t, state).support()
         if len(support) != 1:
             raise InputError(f"on-path transcript: the leader mixes at round {t + 1}")
-        pair = ActionPair(support[0], result.decisions[t][state])
+        pair = game.pair_table[support[0] - 1][result.decisions[t][state] - 1]
         pairs.append(pair)
         state = leader.step(state, pair)
     return Transcript(tuple(pairs), game)
@@ -223,7 +226,7 @@ def verify_prescription(
     bound fails, if any.  A failure here does not prove the true best
     response deviates, only that this linear check cannot certify obedience.
     """
-    _, follower_best = max_follower_pair(game)
+    (best_row, best_col), _ = game.max_follower_pair
     replies, scale = reply_values(game, gpa.threat_strategy)
     # Round t fails when its suffix S_t falls below m + cap * (T - t).  Going
     # back one round adds the round's payoff to S_t and one cap to the bound,
@@ -238,7 +241,7 @@ def verify_prescription(
     cap = max(replies)
     factor = scale // game.granularity
     step = [[factor * v - cap for v in row] for row in game.scaled_m2]
-    best = int(follower_best * scale)
+    best = factor * game.scaled_m2[best_row - 1][best_col - 1]
     margin = cap
     first_failure = None
     end = gpa.horizon
@@ -276,6 +279,9 @@ def simulate(
     """
     if horizon < 1:
         raise InputError("horizon must be at least 1")
+    _check_actions(leader, "leader", game.rows)
+    _check_actions(follower, "follower", game.cols)
+    table = game.pair_table
     leader_rng = CounterRng(seed, _STREAM_LEADER)
     follower_rng = CounterRng(seed, _STREAM_FOLLOWER)
     leader_state = leader.initial_state()
@@ -284,11 +290,20 @@ def simulate(
     for t in range(horizon):
         row = _sample_action(leader, t, leader_state, leader_rng)
         col = _sample_action(follower, t, follower_state, follower_rng)
-        pair = ActionPair(row, col)
+        pair = table[row - 1][col - 1]
         pairs.append(pair)
         leader_state = leader.step(leader_state, pair)
         follower_state = follower.step(follower_state, pair)
     return Transcript(tuple(pairs), game)
+
+
+def _check_actions(player: GamePlayingAlgorithm, side: str, actions: int) -> None:
+    """Raise `InputError` unless the player has the game's `actions` for its side."""
+    if player.n_actions != actions:
+        raise InputError(
+            f"the {side} strategy has {player.n_actions} actions, "
+            f"but the game has {actions} {side} actions"
+        )
 
 
 def _sample_action(player: GamePlayingAlgorithm, t: int, state: State, rng: CounterRng) -> int:
@@ -329,19 +344,20 @@ def external_regret(transcript: Transcript, game: BimatrixGame, side: str) -> Re
         raise InputError('side must be "leader" or "follower"')
     if len(transcript) == 0:
         raise EmptyTranscript("regret needs a nonempty transcript")
-    # matrix[own - 1][opponent - 1] is the side's payoff; the totals need only
-    # how often each pair and each opponent action occurred.
+    # matrix[own - 1][opponent - 1] is the side's payoff times the
+    # granularity; the totals need only how often each pair and each
+    # opponent action occurred.
     leader_total, follower_total = game.totals(transcript.counts)
     if side == "leader":
-        matrix, realized, opponent_index = game.m1, leader_total, 1
+        matrix, realized, opponent_index = game.scaled_m1, leader_total, 1
     else:
-        matrix, realized, opponent_index = tuple(zip(*game.m2)), follower_total, 0
+        matrix, realized, opponent_index = tuple(zip(*game.scaled_m2)), follower_total, 0
     opponent: Counter[int] = Counter()
     for pair, count in transcript.counts.items():
         opponent[pair[opponent_index]] += count
-    fixed = [sum((row[b - 1] * c for b, c in opponent.items()), Fraction(0)) for row in matrix]
+    fixed = [sum(row[b - 1] * c for b, c in opponent.items()) for row in matrix]
     best_action = max(range(1, len(matrix) + 1), key=lambda a: (fixed[a - 1], -a))
-    best_total = fixed[best_action - 1]
+    best_total = Fraction(fixed[best_action - 1], game.granularity)
     return RegretReport(best_total - realized, best_action, realized)
 
 

@@ -6,13 +6,18 @@ outright and never use a bellman-style max, so they can serve as ground
 truth for it.  The history-prefix helpers are the oracle as it was before it
 ran over automaton states: a recursion over every history prefix, kept as
 the reference that the state-based oracle must match exactly.  Likewise
-`fraction_simplex_solve` and `fraction_grid_audit_player3` are the solvers as
-they were before they ran on integers: every tableau entry and grid total a
-`Fraction`.  The integer kernels must match them exactly, pivot counts
-included.  `fraction_sample_prescription` and `fraction_verify_prescription`
-are the sampled construction and the prescription check as they were before
-they ran on per-pair counts and integers: a `Fraction` CDF walk per draw,
-`Fraction`-keyed sorts, and a `Fraction` suffix array.
+`fraction_simplex_solve`, `fraction_grid_audit_player3` and
+`fraction_player3_audit` are the solvers as they were before they ran on
+integers: every tableau entry and grid total a `Fraction`.  The integer
+kernels must match them exactly, pivot counts included.
+`fraction_sample_prescription` and `fraction_verify_prescription` are the
+sampled construction and the prescription check as they were before they ran
+on per-pair counts and integers: a `Fraction` CDF walk per draw,
+`Fraction`-keyed sorts, and a `Fraction` suffix array.  `fraction_pair_ordering`,
+`fraction_max_follower_pair` and `fraction_totals` are the game's pair order,
+follower-best pair and payoff totals as they were before the game held them
+as integers: a `Fraction`-keyed sort, a `Fraction`-keyed min and a `Fraction`
+fold.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import pytest
 
 from repstack import ActionPair, BimatrixGame, Transcript, format_rational, validate_game
 from repstack._rng import CounterRng
-from repstack.core import InputError, MixedStrategy, pair_order_key, stable_json
+from repstack.core import InputError, MixedStrategy, stable_json
 from repstack.gpa import (
     _STREAM_SAMPLES,
     GamePlayingAlgorithm,
@@ -37,8 +42,8 @@ from repstack.gpa import (
     State,
     history_key,
 )
-from repstack.hardness import ThreePlayerGame, _grid_points
-from repstack.lp import LinearProgram, LPSolution, LPStatus, max_follower_pair, stackelberg_lp
+from repstack.hardness import DimensionMismatch, ThreePlayerGame, _grid_points
+from repstack.lp import LinearProgram, LPSolution, LPStatus, stackelberg_lp
 from repstack.oracle import DeviationProfitableAt, Obeys
 
 
@@ -484,6 +489,70 @@ def fraction_grid_audit_player3(game3: ThreePlayerGame, resolution: int) -> Frac
     return worst
 
 
+def fraction_player3_audit(
+    game3: ThreePlayerGame, p1: MixedStrategy, p2: MixedStrategy
+) -> tuple[int, Fraction]:
+    """Player 3's best reply as a `Fraction` fold per action; the first
+    maximal action wins."""
+    n, _, k = game3.strategy_counts
+    if len(p1) != n or len(p2) != n:
+        raise DimensionMismatch(
+            f"strategies must range over {n} vertices, got {len(p1)} and {len(p2)}"
+        )
+    best_index = 0
+    best_value: Fraction | None = None
+    for t in range(k):
+        total = Fraction(0)
+        for r in range(1, n + 1):
+            wr = p1.probability(r)
+            if wr == 0:
+                continue
+            for s in range(1, n + 1):
+                ws = p2.probability(s)
+                if ws == 0:
+                    continue
+                total += wr * ws * game3.payoff3(r, s, t)
+        if best_value is None or total > best_value:
+            best_value = total
+            best_index = t
+    assert best_value is not None
+    return best_index, best_value
+
+
+def fraction_pair_order_key(game: BimatrixGame):
+    """The pair sort key on `Fraction` payoffs: (M2, -M1, row, col)."""
+    return lambda p: (game.follower_payoff(p), -game.leader_payoff(p), p.row, p.col)
+
+
+def _fresh_pairs(game: BimatrixGame) -> list[ActionPair]:
+    """Every pair of the game in row-major order, built anew."""
+    return [
+        ActionPair(row, col) for row in range(1, game.rows + 1) for col in range(1, game.cols + 1)
+    ]
+
+
+def fraction_pair_ordering(game: BimatrixGame) -> tuple[ActionPair, ...]:
+    """All pairs sorted on `fraction_pair_order_key`."""
+    return tuple(sorted(_fresh_pairs(game), key=fraction_pair_order_key(game)))
+
+
+def fraction_max_follower_pair(game: BimatrixGame) -> tuple[ActionPair, Fraction]:
+    """The follower-best pair by a `Fraction`-keyed min: maximal follower
+    payoff, then maximal leader payoff, then lowest (row, col)."""
+    best = min(
+        _fresh_pairs(game),
+        key=lambda p: (-game.follower_payoff(p), -game.leader_payoff(p), p.row, p.col),
+    )
+    return best, game.follower_payoff(best)
+
+
+def fraction_totals(game: BimatrixGame, counts) -> tuple[Fraction, Fraction]:
+    """Total (leader, follower) payoff over {pair: count}, one `Fraction` fold each."""
+    leader = sum((game.m1[r - 1][c - 1] * n for (r, c), n in counts.items()), Fraction(0))
+    follower = sum((game.m2[r - 1][c - 1] * n for (r, c), n in counts.items()), Fraction(0))
+    return leader, follower
+
+
 def fraction_sample_prescription(
     game: BimatrixGame, horizon: int, seed: int
 ) -> SampledConstruction:
@@ -493,7 +562,7 @@ def fraction_sample_prescription(
         raise HorizonTooShort(horizon, 2)
     solution = stackelberg_lp(game)
     threat_result = solution.threat
-    reward_pair, follower_max = max_follower_pair(game)
+    reward_pair, follower_max = fraction_max_follower_pair(game)
 
     if follower_max == threat_result.value:
         script = tuple([reward_pair] * horizon)
@@ -510,7 +579,7 @@ def fraction_sample_prescription(
     ]
 
     ascending = lambda p: (game.follower_payoff(p), game.leader_payoff(p), p.row, p.col)
-    canonical = pair_order_key(game)
+    canonical = fraction_pair_order_key(game)
     pre_swap = tuple(sorted(draws, key=canonical))
 
     block_len = horizon - 1
@@ -542,7 +611,7 @@ def fraction_verify_prescription(
             f"horizon {horizon} does not match prescription length {gpa.horizon}"
         )
     rounds = gpa.horizon
-    _, follower_best = max_follower_pair(game)
+    _, follower_best = fraction_max_follower_pair(game)
     threat_cap = max(
         sum((w * game.m2[i][j] for i, w in enumerate(gpa.threat_strategy.weights)), Fraction(0))
         for j in range(game.cols)

@@ -198,6 +198,29 @@ def test_simulate_rejects_horizon_below_one(pd_file, tmp_path, capsys, horizon) 
     assert captured.err == "error: horizon must be at least 1\n"
 
 
+@pytest.mark.parametrize(
+    "strategy, actions",
+    [
+        ('{"kind":"mw","side":"follower","learning_rate":"1/10"}', 3),
+        ('{"kind":"lookup","n_actions":5,"table":{"":5}}', 5),
+        ('{"kind":"lookup","n_actions":3,"table":{"":3}}', 3),
+    ],
+)
+def test_simulate_rejects_a_strategy_sized_for_another_game(
+    tmp_path, capsys, strategy, actions
+) -> None:
+    game_path = tmp_path / "game.json"
+    game_path.write_text('{"M1": [[1, 0, 0], [0, 1, 0]], "M2": [[0, 1, "1/3"], [1, 0, "1/2"]]}')
+    gpa_path = tmp_path / "strategy.json"
+    gpa_path.write_text(strategy)
+    code = main(["simulate", str(game_path), str(gpa_path), "-T", "3", "--follower", "myopic"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the leader strategy has {actions} actions, but the game has 2 leader actions\n"
+    )
+
 def test_regret_command(tmp_path, capsys) -> None:
     game_path = tmp_path / "game.json"
     game_path.write_text(TENSION)

@@ -25,7 +25,6 @@ from repstack import (
     format_rational,
     game_from_json,
     game_to_json,
-    pair_ordering,
     parse_rational,
     transcript_from_json,
     transcript_to_json,
@@ -34,7 +33,12 @@ from repstack import (
 from repstack.gpa import MultiplicativeWeightsGPA, MyopicBestResponder, PrescribedSequenceGPA
 from repstack.oracle import simulate
 
-from conftest import random_game
+from conftest import (
+    fraction_max_follower_pair,
+    fraction_pair_ordering,
+    fraction_totals,
+    random_game,
+)
 
 rationals = st.fractions(
     min_value=-(10**9), max_value=10**9, max_denominator=10**9
@@ -94,7 +98,7 @@ def test_validate_game_names_offending_cell() -> None:
 
 
 def test_pair_ordering_pd(pd_game) -> None:
-    ordering = pair_ordering(pd_game)
+    ordering = pd_game.pair_ordering
     assert [(p.row, p.col) for p in ordering] == [(2, 1), (2, 2), (1, 1), (1, 2)]
     payoffs = [pd_game.follower_payoff(p) for p in ordering]
     assert payoffs == [Fraction(0), Fraction(1, 5), Fraction(3, 5), Fraction(1)]
@@ -102,12 +106,12 @@ def test_pair_ordering_pd(pd_game) -> None:
 
 def test_pair_ordering_single_pair() -> None:
     game = validate_game([[0]], [[0]])
-    assert [(p.row, p.col) for p in pair_ordering(game)] == [(1, 1)]
+    assert [(p.row, p.col) for p in game.pair_ordering] == [(1, 1)]
 
 
 def test_pair_ordering_tie_break_prefers_leader() -> None:
     game = validate_game([[1, 0], [0, 1]], [[0, 0], [0, 0]])
-    ordering = list(pair_ordering(game))
+    ordering = list(game.pair_ordering)
     leaders = [game.leader_payoff(p) for p in ordering]
     assert leaders == [Fraction(1), Fraction(1), Fraction(0), Fraction(0)]
     # among equal leader payoffs, lexicographic by (row, col)
@@ -115,9 +119,9 @@ def test_pair_ordering_tie_break_prefers_leader() -> None:
 
 
 def test_pair_ordering_is_permutation_and_idempotent(pd_game) -> None:
-    ordering = pair_ordering(pd_game)
+    ordering = pd_game.pair_ordering
     assert sorted(ordering) == sorted(pd_game.pairs())
-    assert pair_ordering(pd_game) == ordering
+    assert pd_game.pair_ordering == ordering
 
 
 def test_average_payoffs_constant_sequence(pd_game) -> None:
@@ -280,6 +284,65 @@ def test_scaled_m2_takes_no_part_in_eq_hash_or_repr() -> None:
     assert repr(game) == repr(other)
     assert "scaled_m2" not in repr(game)
 
+
+INTEGER_VIEW = ("pair_table", "scaled_m1", "scaled_m2", "pair_ordering", "max_follower_pair")
+
+
+def test_integer_view_takes_no_part_in_eq_hash_or_repr() -> None:
+    game = validate_game([[0, "1/4"], [1, 0]], [["1/2", "-1/3"], [1, "1/6"]])
+    other = validate_game(game.m1, game.m2)
+    for name in INTEGER_VIEW:
+        assert getattr(game, name) is getattr(game, name)  # computed once
+        assert name not in vars(other)
+    assert game.scaled_m1 == ((0, 3), (12, 0))  # granularity 12
+    assert game == other and hash(game) == hash(other)
+    assert repr(game) == repr(other)
+    assert not any(name in repr(game) for name in INTEGER_VIEW)
+
+
+def _game_over(rng: random.Random, rows: int, cols: int, a: int):
+    """A random game with every payoff a multiple of 1/a (a = 1 ties often)."""
+    def matrix():
+        return [[Fraction(rng.randint(-a, a), a) for _ in range(cols)] for _ in range(rows)]
+
+    return validate_game(matrix(), matrix())
+
+
+SHAPES = [(1, 1), (1, 5), (5, 1), (1, 8), (8, 1), (2, 3), (3, 2), (4, 4), (5, 7), (8, 8)]
+
+
+@pytest.mark.parametrize("a", [1, 2, 6, 60])
+def test_integer_view_matches_fraction_reference(a) -> None:
+    """The integer pair order, follower-best pair and totals equal the
+    `Fraction`-keyed sort, min and fold."""
+    rng = random.Random(a)
+    for rows, cols in SHAPES:
+        for _ in range(4):
+            game = _game_over(rng, rows, cols, a)
+            assert game.pair_ordering == fraction_pair_ordering(game)
+            assert game.max_follower_pair == fraction_max_follower_pair(game)
+            pair, payoff = game.max_follower_pair
+            assert type(payoff) is Fraction and type(pair) is ActionPair
+            for _ in range(3):
+                counts = {p: rng.choice((0, 0, 1, 7, 10**12)) for p in game.pairs()}
+                assert game.totals(counts) == fraction_totals(game, counts)
+            assert game.totals({}) == (0, 0)
+
+
+def test_pairs_come_from_the_pair_table(pd_game) -> None:
+    first, second = list(pd_game.pairs()), list(pd_game.pairs())
+    assert first == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert all(p is q for p, q in zip(first, second))
+    assert all(pd_game.pair_table[p.row - 1][p.col - 1] is p for p in first)
+    assert {id(p) for p in pd_game.pair_ordering} == {id(p) for p in first}
+    assert any(pd_game.max_follower_pair[0] is p for p in first)
+
+
+def test_simulate_transcript_holds_the_table_pairs() -> None:
+    game = random_game(random.Random(4), 3, 4)
+    leader = MultiplicativeWeightsGPA(game, "leader", Fraction(1, 10))
+    transcript = simulate(leader, MyopicBestResponder(game, leader), game, 40, seed=2)
+    assert all(game.pair_table[p.row - 1][p.col - 1] is p for p in transcript.pairs)
 
 # Messages recorded when every entry was parsed on its own.
 @pytest.mark.parametrize(

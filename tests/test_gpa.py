@@ -21,7 +21,6 @@ from repstack import (
     build_deterministic_gpa,
     gpa_from_json,
     gpa_to_json,
-    max_follower_pair,
     multiplicative_weights,
     sample_prescription,
     stackelberg_lp,
@@ -152,7 +151,7 @@ def test_sampled_build_point_mass_distribution() -> None:
 
 def test_sampled_build_repair_invariants(pd_game) -> None:
     value = threat(pd_game).value
-    _, follower_best = max_follower_pair(pd_game)
+    _, follower_best = pd_game.max_follower_pair
     for seed in range(20):
         construction = sample_prescription(pd_game, 100, seed=seed)
         block = construction.post_swap

@@ -25,7 +25,7 @@ from repstack import (
     reduce_graph,
 )
 from repstack.core import InputError
-from conftest import round_strategy
+from conftest import fraction_player3_audit, round_strategy
 
 F = Fraction
 
@@ -247,7 +247,7 @@ def test_grid_audit_matches_exhaustive_audit() -> None:
         for c in [2 - a - b]
     ]
     expected = min(
-        player3_audit(game3, p1, p2)[1] for p1 in grid for p2 in grid
+        fraction_player3_audit(game3, p1, p2)[1] for p1 in grid for p2 in grid
     )
     assert grid_audit_player3(game3, resolution) == expected
 
@@ -423,7 +423,7 @@ def test_pruned_grid_sweep_minimum_at_the_last_point(resolution) -> None:
     ]
     game3 = _signed_game(n, entries)
     grid = [MixedStrategy(tuple(F(q, resolution) for q in point)) for point in _grid_points(n, resolution)]
-    replies = [player3_audit(game3, p1, p2) for p2 in grid for p1 in grid]
+    replies = [fraction_player3_audit(game3, p1, p2) for p2 in grid for p1 in grid]
     values = [value for _, value in replies]
     assert {action for action, _ in replies} == {0, 1}
     assert min(values) == values[-1] and values.count(values[-1]) == 1
@@ -447,3 +447,41 @@ def test_grid_audit_k4_resolution_16() -> None:
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"K4 grid audit at resolution 16 took {elapsed:.2f} s"
     assert worst == F(9, 8)
+
+
+def _random_mixed(rng, n: int) -> MixedStrategy:
+    """A random rational mix over n actions, often with zero weights."""
+    raw = [rng.choice((0, 0, 1, 2, 3, 5, 7)) for _ in range(n)]
+    if not any(raw):
+        raw[rng.randrange(n)] = 1
+    return MixedStrategy(tuple(F(w, sum(raw)) for w in raw))
+
+
+def test_player3_audit_matches_fraction_reference() -> None:
+    """The integer contraction returns the Fraction fold's (action, value),
+    lowest index on ties, on reductions and on signed rational payoffs."""
+    import random
+
+    rng = random.Random(2718)
+    games = []
+    for n in (3, 4, 5, 6):
+        for _ in range(3):
+            graph = _random_graph(rng, n)
+            games.append(reduce_graph(graph))
+            cover = balanced_vertex_cover(graph)
+            if cover is not None:
+                p1, p2 = cover_strategies(graph, cover)
+                assert player3_audit(games[-1], p1, p2) == fraction_player3_audit(games[-1], p1, p2)
+    for n in (2, 3, 4):
+        k = n + 1 + rng.randint(0, n * (n - 1) // 2)
+        entry = lambda: F(rng.randint(-9, 9), rng.randint(1, 7))
+        games.append(_signed_game(n, [[[entry() for _ in range(k)] for _ in range(n)] for _ in range(n)]))
+        # Every action tied: the lowest index must win.
+        games.append(_signed_game(n, [[[F(1, 3)] * k for _ in range(n)] for _ in range(n)]))
+    for game3 in games:
+        n = game3.strategy_counts[0]
+        strategies = [MixedStrategy.pure(v, n) for v in range(1, n + 1)]
+        strategies += [MixedStrategy.uniform(n)] + [_random_mixed(rng, n) for _ in range(4)]
+        for p1 in strategies:
+            for p2 in strategies:
+                assert player3_audit(game3, p1, p2) == fraction_player3_audit(game3, p1, p2)

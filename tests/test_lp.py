@@ -15,7 +15,6 @@ from repstack import (
     LPStatus,
     MixedStrategy,
     game_value,
-    max_follower_pair,
     simplex_solve,
     stackelberg_lp,
     threat,
@@ -298,20 +297,20 @@ def test_stackelberg_lp_feasibility_and_local_optimality(seed: int) -> None:
 
 
 def test_max_follower_pair_pd(pd_game) -> None:
-    pair, value = max_follower_pair(pd_game)
+    pair, value = pd_game.max_follower_pair
     assert (pair.row, pair.col) == (1, 2)
     assert value == 1
 
 
 def test_max_follower_pair_inevitability(inevitability_game) -> None:
-    pair, value = max_follower_pair(inevitability_game)
+    pair, value = inevitability_game.max_follower_pair
     assert (pair.row, pair.col) == (1, 2)
     assert value == 1
 
 
 def test_max_follower_pair_tie_break_by_leader() -> None:
     game = validate_game([[0, 1], ["1/2", 0]], [["1/4", "1/4"], ["1/4", "1/4"]])
-    pair, value = max_follower_pair(game)
+    pair, value = game.max_follower_pair
     assert value == F(1, 4)
     assert (pair.row, pair.col) == (1, 2)  # leader payoff 1 beats 1/2 and 0
 

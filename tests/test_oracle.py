@@ -293,6 +293,22 @@ def test_simulate_rejects_horizon_below_one(pd_game, horizon) -> None:
         simulate(leader, follower, pd_game, horizon, seed=0)
 
 
+def test_simulate_rejects_strategies_sized_for_another_game(pd_game) -> None:
+    leader = GrimTriggerGPA(pd_game, ActionPair(1, 1), punish_row=2)
+    three = ConstantGPA(MixedStrategy.pure(3, 3))
+    message = "the follower strategy has 3 actions, but the game has 2 follower actions"
+    with pytest.raises(InputError, match=f"^{message}$"):
+        simulate(leader, three, pd_game, 4, seed=0)
+    message = "the leader strategy has 3 actions, but the game has 2 leader actions"
+    with pytest.raises(InputError, match=f"^{message}$"):
+        simulate(three, ConstantGPA(MixedStrategy.pure(1, 2)), pd_game, 4, seed=0)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        best_response(three, pd_game, 4)
+    wide = validate_game([[0, 0]] * 3, [[0, 0]] * 3)
+    message = "the leader strategy has 2 actions, but the game has 3 leader actions"
+    with pytest.raises(InputError, match=f"^{message}$"):
+        on_path_transcript(best_response(leader, pd_game, 4), wide)
+
 def test_simulate_grim_vs_always_defect(pd_game) -> None:
     leader = GrimTriggerGPA(pd_game, ActionPair(1, 1), punish_row=2)
     follower = ConstantGPA(MixedStrategy.pure(2, 2))
@@ -344,6 +360,24 @@ def test_external_regret_follower_side(pd_game) -> None:
     assert report.best_fixed_action == 2
     assert report.total_regret == 2 * (F(1) - F(3, 5))
 
+
+@pytest.mark.parametrize("side", ["leader", "follower"])
+def test_external_regret_matches_a_per_round_fraction_fold(side) -> None:
+    rng = random.Random(17)
+    for rows, cols in [(1, 4), (4, 1), (3, 3), (5, 2)]:
+        game = random_game(rng, rows, cols)
+        matrix = game.m1 if side == "leader" else tuple(zip(*game.m2))
+        pairs = tuple(
+            ActionPair(rng.randint(1, rows), rng.randint(1, cols)) for _ in range(rng.randint(1, 30))
+        )
+        own, other = (0, 1) if side == "leader" else (1, 0)
+        fixed = [sum((row[p[other] - 1] for p in pairs), F(0)) for row in matrix]
+        realized = sum((matrix[p[own] - 1][p[other] - 1] for p in pairs), F(0))
+        best = max(range(len(matrix)), key=lambda a: (fixed[a], -a))
+        report = external_regret(Transcript(pairs, game), game, side)
+        assert report.realized_total == realized
+        assert report.best_fixed_action == best + 1
+        assert report.total_regret == fixed[best] - realized
 
 def test_regret_is_reproducible(pd_game) -> None:
     transcript = Transcript(tuple([ActionPair(2, 1)] * 5), pd_game)
