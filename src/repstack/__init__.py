@@ -75,6 +75,7 @@ from .oracle import (
     RegretReport,
     StateSpaceExceeded,
     best_response,
+    evaluate_prescription,
     external_regret,
     on_path_transcript,
     simulate,

@@ -171,10 +171,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise InputError("evaluate expects a prescribed-sequence strategy file")
     horizon = loaded.horizon
     verdict = oracle.verify_prescription(loaded, game)
-    result = oracle.best_response(loaded, game, horizon, budget=args.budget)
+    follower_total, leader_total = oracle.evaluate_prescription(loaded, game, args.budget)
     solution = stackelberg_lp(game)
-    leader_avg = result.leader_value / horizon
-    follower_avg = result.follower_value / horizon
+    leader_avg = leader_total / horizon
+    follower_avg = follower_total / horizon
     gap = solution.value - leader_avg
     verdict_text = (
         "Obeys"

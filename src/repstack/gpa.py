@@ -1,12 +1,14 @@
 """Leader strategy automata and their constructions.
 
 A GamePlayingAlgorithm is a finite automaton: `initial_state()`, a
-transition `step(state, pair)` on each played pair, and `strategy_at(t,
-state)`, the mixed strategy for round t+1 in that state.  States are
-hashable values, so the oracle and the simulator carry one state per
-player instead of the whole history.  Strategies without a compact state use
-the history itself as their state.  Instances carry no mutable state, so a
-single instance can be shared freely.
+transition `step(t, state, pair)` on the pair played in round t+1, and
+`strategy_at(t, state)`, the mixed strategy for round t+1 in that state.
+States are hashable values, so the oracle and the simulator carry one state
+per player instead of the whole history.  Strategies without a compact state
+use the history itself as their state.  `hold(t, state)` says for how many
+rounds from t both stay as they are at t, so the simulator can play a pure
+stretch at once.  Instances change only to cache what they derive from their
+own inputs, so a single instance can be shared freely.
 
 Two constructions build prescribed-sequence automata from the commitment LP:
 
@@ -92,6 +94,12 @@ class GamePlayingAlgorithm:
     state)`, so rounds share coins only through the state.  `n_actions` is
     the size of the owning player's action set.
 
+    `hold(t, state)` is a count h >= 1 of rounds t, ..., t+h-1 over which
+    `strategy_at(·, state)` and `step(·, state, pair)`, for every pair, are
+    what they are at t.  It is asked only after `strategy_at(t, state)`
+    returned.  The default 1 is always true; a longer hold lets `simulate`
+    append a pure stretch at once.
+
     Attributes:
         exact: the conditional distribution given any history is available
             as exact rationals (required by the best-response oracle).  An
@@ -110,12 +118,15 @@ class GamePlayingAlgorithm:
     def initial_state(self) -> State:
         return ()
 
-    def step(self, state: State, pair: ActionPair) -> State:
+    def step(self, t: int, state: State, pair: ActionPair) -> State:
         return state + (pair,)
 
     def strategy_at(self, t: int, state: State) -> MixedStrategy:
         """The mixed strategy after t rounds that led to `state`."""
         raise NotImplementedError(f"{type(self).__name__} defines no strategy_at")
+
+    def hold(self, t: int, state: State) -> int:
+        return 1
 
 
 class PrescribedSequenceGPA(GamePlayingAlgorithm):
@@ -123,13 +134,15 @@ class PrescribedSequenceGPA(GamePlayingAlgorithm):
 
     Before the follower has ever departed from the scripted column, round t
     plays the scripted leader row.  From the first deviation on, every round
-    plays the threat strategy.  The state is (rounds played, triggered).
+    plays the threat strategy.  The state is the triggered bit; the round
+    comes from `t`.
 
     `runs` is the script run-length encoded: (pair, count) for each maximal
     block of equal consecutive pairs.  Both constructions emit sorted
     blocks, so a script has at most rows*cols + 1 runs, and work that
-    depends only on the pairs (validation, `verify_prescription`, JSON) is
-    done once per run.
+    depends only on the pairs (validation, `verify_prescription`,
+    `evaluate_prescription`, JSON, pure stretches in `simulate`) is done
+    once per run.
     """
 
     kind = "prescribed"
@@ -155,22 +168,25 @@ class PrescribedSequenceGPA(GamePlayingAlgorithm):
         self.game = game
         self.threat_strategy = threat_strategy
         self.horizon = len(self.prescription)
+        self._run_ends = tuple(itertools.accumulate(count for _, count in self.runs))
 
-    def initial_state(self) -> tuple[int, bool]:
-        return 0, False
+    def initial_state(self) -> bool:
+        return False
 
-    def step(self, state: tuple[int, bool], pair: ActionPair) -> tuple[int, bool]:
-        played, triggered = state
-        if not triggered and played < self.horizon:
-            triggered = pair.col != self.prescription[played].col
-        return played + 1, triggered
+    def step(self, t: int, triggered: bool, pair: ActionPair) -> bool:
+        return triggered or (t < self.horizon and pair.col != self.prescription[t].col)
 
-    def strategy_at(self, t: int, state: tuple[int, bool]) -> MixedStrategy:
+    def strategy_at(self, t: int, triggered: bool) -> MixedStrategy:
         if t >= self.horizon:
             raise InputError("history extends beyond the horizon")
-        if state[1]:
+        if triggered:
             return self.threat_strategy
         return MixedStrategy.pure(self.prescription[t].row, self.n_actions)
+
+    def hold(self, t: int, triggered: bool) -> int:
+        if triggered:
+            return self.horizon - t
+        return self._run_ends[bisect.bisect_right(self._run_ends, t)] - t
 
     def obedient_transcript(self) -> Transcript:
         """The transcript realized when the follower obeys every round."""
@@ -336,7 +352,7 @@ class GrimTriggerGPA(GamePlayingAlgorithm):
     def initial_state(self) -> bool:
         return False
 
-    def step(self, state: bool, pair: ActionPair) -> bool:
+    def step(self, t: int, state: bool, pair: ActionPair) -> bool:
         return state or pair.col != self.cooperate_pair.col
 
     def strategy_at(self, t: int, state: bool) -> MixedStrategy:
@@ -366,7 +382,7 @@ class TwoPhaseDefectGPA(GamePlayingAlgorithm):
     def initial_state(self) -> bool:
         return False
 
-    def step(self, state: bool, pair: ActionPair) -> bool:
+    def step(self, t: int, state: bool, pair: ActionPair) -> bool:
         return state or pair.col == 2
 
     def strategy_at(self, t: int, state: bool) -> MixedStrategy:
@@ -382,7 +398,8 @@ class MultiplicativeWeightsGPA(GamePlayingAlgorithm):
     realized opponent actions), evaluated in floating point; exponentials are
     irrational, so this strategy is quarantined from every exact solver path
     and only exposes float probabilities.  The state is the tuple of float
-    cumulative payoffs, one per own action.
+    cumulative payoffs, one per own action.  The payoffs and the rate are
+    converted to floats once, at construction.
     """
 
     kind = "mw"
@@ -397,19 +414,20 @@ class MultiplicativeWeightsGPA(GamePlayingAlgorithm):
         self.game = game
         self.side = side
         self.learning_rate = learning_rate
+        # _payoffs[b - 1][a - 1]: own action a's payoff against opponent action b.
+        own = zip(*game.m1) if side == "leader" else game.m2
+        self._payoffs = tuple(tuple(float(v) for v in row) for row in own)
+        self._rate = float(learning_rate)
 
     def initial_state(self) -> tuple[float, ...]:
         return (0.0,) * self.n_actions
 
-    def step(self, state: tuple[float, ...], pair: ActionPair) -> tuple[float, ...]:
-        if self.side == "leader":
-            payoffs = [self.game.m1[a][pair.col - 1] for a in range(self.n_actions)]
-        else:
-            payoffs = self.game.m2[pair.row - 1]
-        return tuple(total + float(payoff) for total, payoff in zip(state, payoffs))
+    def step(self, t: int, state: tuple[float, ...], pair: ActionPair) -> tuple[float, ...]:
+        opponent = pair.col if self.side == "leader" else pair.row
+        return tuple(map(operator.add, state, self._payoffs[opponent - 1]))
 
     def probabilities_at(self, t: int, state: tuple[float, ...]) -> list[float]:
-        rate = float(self.learning_rate)
+        rate = self._rate
         peak = max(state)
         weights = [math.exp(rate * (total - peak)) for total in state]
         norm = sum(weights)
@@ -465,7 +483,8 @@ class ConstantGPA(GamePlayingAlgorithm):
 class PrescriptionFollower(GamePlayingAlgorithm):
     """Follower that replays the column script of a prescription verbatim.
 
-    Its play depends on the round alone, so it has a single state.
+    Its play depends on the round alone, so it has a single state, and it
+    holds to the end of each run of equal columns.
     """
 
     kind = "obedient"
@@ -473,17 +492,22 @@ class PrescriptionFollower(GamePlayingAlgorithm):
     def __init__(self, prescription: Sequence[ActionPair], n_actions: int):
         super().__init__(n_actions)
         self.prescription = tuple(prescription)
+        columns = itertools.groupby(pair.col for pair in self.prescription)
+        self._run_ends = tuple(itertools.accumulate(len(list(run)) for _, run in columns))
 
     def initial_state(self) -> None:
         return None
 
-    def step(self, state: None, pair: ActionPair) -> None:
+    def step(self, t: int, state: None, pair: ActionPair) -> None:
         return None
 
     def strategy_at(self, t: int, state: None) -> MixedStrategy:
         if t >= len(self.prescription):
             raise InputError("history extends beyond the prescription")
         return MixedStrategy.pure(self.prescription[t].col, self.n_actions)
+
+    def hold(self, t: int, state: None) -> int:
+        return self._run_ends[bisect.bisect_right(self._run_ends, t)] - t
 
 
 def prescription_follower(  # kept: perfbench/workloads.py calls it
@@ -497,7 +521,8 @@ class MyopicBestResponder(GamePlayingAlgorithm):
 
     Uses exact expectations whenever the leader can provide them, floats
     otherwise; ties resolve to the lowest column index.  Its state is the
-    leader's state.
+    leader's state, and it holds as long as the leader does.  The float
+    columns of M2 are built on the first float round and kept.
     """
 
     kind = "myopic"
@@ -506,22 +531,25 @@ class MyopicBestResponder(GamePlayingAlgorithm):
         super().__init__(game.cols)
         self.game = game
         self.leader = leader
+        self._float_columns = None
 
     def initial_state(self) -> State:
         return self.leader.initial_state()
 
-    def step(self, state: State, pair: ActionPair) -> State:
-        return self.leader.step(state, pair)
+    def step(self, t: int, state: State, pair: ActionPair) -> State:
+        return self.leader.step(t, state, pair)
+
+    def hold(self, t: int, state: State) -> int:
+        return self.leader.hold(t, state)
 
     def strategy_at(self, t: int, state: State) -> MixedStrategy:
         if self.leader.exact:
             scores, _ = reply_values(self.game, self.leader.strategy_at(t, state))
         else:
             probs = self.leader.probabilities_at(t, state)
-            scores = [
-                sum(p * float(self.game.m2[i][j]) for i, p in enumerate(probs))
-                for j in range(self.game.cols)
-            ]
+            if self._float_columns is None:
+                self._float_columns = [[float(v) for v in col] for col in zip(*self.game.m2)]
+            scores = [sum(p * v for p, v in zip(probs, col)) for col in self._float_columns]
         best = max(range(len(scores)), key=lambda j: (scores[j], -j))
         return MixedStrategy.pure(best + 1, self.n_actions)
 

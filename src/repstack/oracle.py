@@ -14,11 +14,19 @@ optimal: at every round the scripted suffix must be worth at least one round
 of the follower's global best payoff plus threat-capped payoffs thereafter.
 It runs as one backward pass over the script's runs, with payoffs scaled to
 integers, so it costs O(runs), not O(T).  The check is sound but
-conservative; `best_response` is the complete fallback.
+conservative; `evaluate_prescription` is the complete answer for a
+prescribed leader: `best_response`'s two totals in closed form, computed in
+integers at each run's two ends, in O(runs * cols).
+
+`simulate` plays two automata against each other.  Where both are pure and
+both `hold`, it appends a whole stretch of one pair at once, so a script is
+played a run at a time.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,6 +39,7 @@ from .core import (
     EmptyTranscript,
     InputError,
     Transcript,
+    as_integers,
     format_rational,
     stable_json,
 )
@@ -92,7 +101,7 @@ class BestResponseResult:
             policy[history] = col
             for row in self.leader.strategy_at(t, state).support():
                 pair = ActionPair(row, col)
-                frontier.append((history + (pair,), self.leader.step(state, pair)))
+                frontier.append((history + (pair,), self.leader.step(t, state, pair)))
         return policy
 
 
@@ -141,7 +150,7 @@ def best_response(
                 if weight > 0
             ]
             children = [
-                [leader.step(state, column[row - 1]) for row, _ in support]
+                [leader.step(t, state, column[row - 1]) for row, _ in support]
                 for column in columns
             ]
             for column_children in children:
@@ -199,7 +208,7 @@ def on_path_transcript(result: BestResponseResult, game: BimatrixGame) -> Transc
             raise InputError(f"on-path transcript: the leader mixes at round {t + 1}")
         pair = game.pair_table[support[0] - 1][result.decisions[t][state] - 1]
         pairs.append(pair)
-        state = leader.step(state, pair)
+        state = leader.step(t, state, pair)
     return Transcript(tuple(pairs), game)
 
 
@@ -262,6 +271,62 @@ def verify_prescription(
     return DeviationProfitableAt(first_failure)
 
 
+def evaluate_prescription(
+    gpa: PrescribedSequenceGPA, game: BimatrixGame, budget: int = DEFAULT_STATE_BUDGET
+) -> tuple[Fraction, Fraction]:
+    """The (follower, leader) totals of `best_response(gpa, game,
+    gpa.horizon, budget)`, in O(runs * cols).
+
+    After the follower leaves the script, each round is worth theta, the
+    value of the best reply to the threat.  So the optimum is the
+    lexicographic max of "obey throughout" and, for each k, "obey k rounds,
+    play the best off-script column, then theta".  Within a run the latter
+    is linear in k, so only the run's two ends are evaluated, in integers
+    over D * A (D the LCM of the threat's denominators).  The budget counts
+    `best_response`'s states: one in round 1, then untriggered and
+    triggered in each later round (untriggered only in a one-column game).
+    """
+    if budget < 1:
+        raise InputError(f"state budget must be at least 1, got {budget}")
+    _check_actions(gpa, "leader", game.rows)
+    horizon = gpa.horizon
+    per_round = 2 if game.cols > 1 else 1
+    if 1 + per_round * (horizon - 1) > budget:
+        raise StateSpaceExceeded(budget, budget + 1, horizon, (budget - 1) // per_round + 2)
+
+    scale = math.lcm(*(w.denominator for w in gpa.threat_strategy.weights))
+    weights = as_integers(gpa.threat_strategy.weights, scale)
+    theta_f, theta_l = max(
+        (sum(map(operator.mul, weights, f)), sum(map(operator.mul, weights, l)))
+        for f, l in zip(zip(*game.scaled_m2), zip(*game.scaled_m1))
+    )
+    # payoff[r][c]: the (follower, leader) payoff of pair (r + 1, c + 1).
+    payoff = [
+        [(scale * f, scale * l) for f, l in zip(*rows)]
+        for rows in zip(game.scaled_m2, game.scaled_m1)
+    ]
+    candidates = []
+    obeyed_f = obeyed_l = start = 0
+    for (row, col), count in gpa.runs:
+        pair_f, pair_l = payoff[row - 1][col - 1]
+        off_script = [value for j, value in enumerate(payoff[row - 1], start=1) if j != col]
+        if off_script:
+            deviation_f, deviation_l = max(off_script)
+            for k in (start, start + count - 1):  # leave the script in round k + 1
+                rest = horizon - k - 1
+                candidates.append((
+                    obeyed_f + (k - start) * pair_f + deviation_f + rest * theta_f,
+                    obeyed_l + (k - start) * pair_l + deviation_l + rest * theta_l,
+                ))
+        obeyed_f += count * pair_f
+        obeyed_l += count * pair_l
+        start += count
+    candidates.append((obeyed_f, obeyed_l))
+    follower_total, leader_total = max(candidates)
+    denominator = scale * game.granularity
+    return Fraction(follower_total, denominator), Fraction(leader_total, denominator)
+
+
 def simulate(
     leader: GamePlayingAlgorithm,
     follower: GamePlayingAlgorithm,
@@ -276,6 +341,12 @@ def simulate(
     function of (leader, follower, game, horizon, seed).  A round whose
     strategy is pure takes no draw; since draws are indexed by round,
     skipping one changes no other.
+
+    When both players are pure and the pair played leaves both states as
+    they were, the same pair repeats for as long as both `hold`, so that
+    stretch is appended at once.  Prescribed leaders and the obedient and
+    myopic followers hold for a whole run, so playing a script costs
+    O(runs) rounds of work.
     """
     if horizon < 1:
         raise InputError("horizon must be at least 1")
@@ -286,14 +357,27 @@ def simulate(
     follower_rng = CounterRng(seed, _STREAM_FOLLOWER)
     leader_state = leader.initial_state()
     follower_state = follower.initial_state()
-    pairs = []
-    for t in range(horizon):
-        row = _sample_action(leader, t, leader_state, leader_rng)
-        col = _sample_action(follower, t, follower_state, follower_rng)
+    pairs: list[ActionPair] = []
+    t = 0
+    while t < horizon:
+        row, leader_pure = _sample_action(leader, t, leader_state, leader_rng)
+        col, follower_pure = _sample_action(follower, t, follower_state, follower_rng)
         pair = table[row - 1][col - 1]
-        pairs.append(pair)
-        leader_state = leader.step(leader_state, pair)
-        follower_state = follower.step(follower_state, pair)
+        next_leader = leader.step(t, leader_state, pair)
+        next_follower = follower.step(t, follower_state, pair)
+        rounds = 1
+        if (
+            leader_pure
+            and follower_pure
+            and next_leader == leader_state
+            and next_follower == follower_state
+        ):
+            rounds = min(
+                leader.hold(t, leader_state), follower.hold(t, follower_state), horizon - t
+            )
+        pairs += [pair] * rounds
+        t += rounds
+        leader_state, follower_state = next_leader, next_follower
     return Transcript(tuple(pairs), game)
 
 
@@ -306,22 +390,25 @@ def _check_actions(player: GamePlayingAlgorithm, side: str, actions: int) -> Non
         )
 
 
-def _sample_action(player: GamePlayingAlgorithm, t: int, state: State, rng: CounterRng) -> int:
-    """The player's action in round t + 1, from draw t + 1 when it mixes."""
+def _sample_action(
+    player: GamePlayingAlgorithm, t: int, state: State, rng: CounterRng
+) -> tuple[int, bool]:
+    """The player's action in round t + 1, from draw t + 1 when it mixes,
+    and whether its strategy was pure."""
     if player.exact:
         strategy = player.strategy_at(t, state)
         support = strategy.support()
         if len(support) == 1:
-            return support[0]
-        return strategy.sample_index(rng.unit_fraction(t + 1))
+            return support[0], True
+        return strategy.sample_index(rng.unit_fraction(t + 1)), False
     probabilities = player.probabilities_at(t, state)
     u = rng.unit_float(t + 1)
     cumulative = 0.0
     for action, p in enumerate(probabilities, start=1):
         cumulative += p
         if u < cumulative:
-            return action
-    return len(probabilities)
+            return action, False
+    return len(probabilities), False
 
 
 @dataclass(frozen=True)

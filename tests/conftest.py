@@ -17,7 +17,8 @@ on per-pair counts and integers: a `Fraction` CDF walk per draw,
 `fraction_max_follower_pair` and `fraction_totals` are the game's pair order,
 follower-best pair and payoff totals as they were before the game held them
 as integers: a `Fraction`-keyed sort, a `Fraction`-keyed min and a `Fraction`
-fold.
+fold.  `per_round_simulate` is the simulator as it was before it played pure
+stretches a run at a time: one round and one `step` per player at a time.
 """
 
 from __future__ import annotations
@@ -44,7 +45,14 @@ from repstack.gpa import (
 )
 from repstack.hardness import DimensionMismatch, ThreePlayerGame, _grid_points
 from repstack.lp import LinearProgram, LPSolution, LPStatus, stackelberg_lp
-from repstack.oracle import DeviationProfitableAt, Obeys
+from repstack.oracle import (
+    _STREAM_FOLLOWER,
+    _STREAM_LEADER,
+    DeviationProfitableAt,
+    Obeys,
+    _check_actions,
+    _sample_action,
+)
 
 
 @pytest.fixture
@@ -103,8 +111,8 @@ def random_zero_sum_game(
 def state_after(player: GamePlayingAlgorithm, history: History) -> State:
     """The automaton state reached by folding `step` over a history."""
     state = player.initial_state()
-    for pair in history:
-        state = player.step(state, pair)
+    for t, pair in enumerate(history):
+        state = player.step(t, state, pair)
     return state
 
 
@@ -625,3 +633,31 @@ def fraction_verify_prescription(
         if suffix_values[t - 1] < follower_best + threat_cap * (rounds - t):
             return DeviationProfitableAt(t)
     return Obeys()
+
+
+def per_round_simulate(
+    leader: GamePlayingAlgorithm,
+    follower: GamePlayingAlgorithm,
+    game: BimatrixGame,
+    horizon: int,
+    seed: int,
+) -> Transcript:
+    """`simulate` one round at a time."""
+    if horizon < 1:
+        raise InputError("horizon must be at least 1")
+    _check_actions(leader, "leader", game.rows)
+    _check_actions(follower, "follower", game.cols)
+    table = game.pair_table
+    leader_rng = CounterRng(seed, _STREAM_LEADER)
+    follower_rng = CounterRng(seed, _STREAM_FOLLOWER)
+    leader_state = leader.initial_state()
+    follower_state = follower.initial_state()
+    pairs = []
+    for t in range(horizon):
+        row, _ = _sample_action(leader, t, leader_state, leader_rng)
+        col, _ = _sample_action(follower, t, follower_state, follower_rng)
+        pair = table[row - 1][col - 1]
+        pairs.append(pair)
+        leader_state = leader.step(t, leader_state, pair)
+        follower_state = follower.step(t, follower_state, pair)
+    return Transcript(tuple(pairs), game)

@@ -9,6 +9,7 @@ beyond what a recursion over prefixes can reach.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -23,6 +24,7 @@ from repstack import (
     StateSpaceExceeded,
     best_response,
     build_deterministic_gpa,
+    evaluate_prescription,
     multiplicative_weights,
     myopic_best_responder,
     on_path_transcript,
@@ -38,6 +40,7 @@ from repstack.gpa import (
     GrimTriggerGPA,
     LookupTableGPA,
     PrescribedSequenceGPA,
+    PrescriptionFollower,
     TwoPhaseDefectGPA,
 )
 from repstack.oracle import best_response_to_json
@@ -46,6 +49,7 @@ from conftest import (
     history_prefix_on_path,
     history_prefix_to_json,
     history_prefix_transcript,
+    per_round_simulate,
     random_game,
 )
 
@@ -258,3 +262,197 @@ def test_base_strategy_defines_no_round_play() -> None:
     base = GamePlayingAlgorithm(2)
     with pytest.raises(NotImplementedError):
         base.strategy_at(0, ())
+
+
+# ---------------------------------------------------------------------------
+# Pure stretches: `simulate` appends a run at once when both players hold.
+
+
+def simulate_leaders(rng, game, length, seed) -> list[tuple[str, GamePlayingAlgorithm]]:
+    """Every leader kind, scripts `length` rounds long."""
+    leaders: list[tuple[str, GamePlayingAlgorithm]] = []
+    try:
+        leaders.append(("deterministic", build_deterministic_gpa(game, length)[0]))
+    except HorizonTooShort:
+        pass
+    sampled = sample_prescription(game, length, seed).gpa
+    leaders.append(("sampled", sampled))
+    script = list(sampled.prescription)
+    rng.shuffle(script)
+    pure = MixedStrategy.pure(rng.randint(1, game.rows), game.rows)
+    leaders.append(("shuffled-pure", PrescribedSequenceGPA(game, script, pure)))
+    mixed = random_mixed(rng, game.rows, lowest=1)
+    leaders.append(("shuffled-mixed", PrescribedSequenceGPA(game, script, mixed)))
+    cooperate = ActionPair(rng.randint(1, game.rows), rng.randint(1, game.cols))
+    leaders.append(("grim", GrimTriggerGPA(game, cooperate, rng.randint(1, game.rows))))
+    if game.rows >= 2 and game.cols >= 2:
+        leaders.append(("two_phase", TwoPhaseDefectGPA(game, rng.randint(0, length))))
+    leaders.append(("constant", ConstantGPA(random_mixed(rng, game.rows))))
+    # The table covers three rounds, so longer plays end in MissingEntry.
+    table = random_table(rng, game.rows, game.cols, 3)
+    leaders.append(("lookup", LookupTableGPA(table, game.rows)))
+    leaders.append(("mw", multiplicative_weights(game, "leader", F(1, 7))))
+    return leaders
+
+
+def simulate_outcome(simulator, *args):
+    """The pairs played, or the type and message of the error raised."""
+    try:
+        return simulator(*args).pairs
+    except Exception as exc:  # noqa: BLE001 -- compared, not handled
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_simulate_matches_the_per_round_reference(case: int) -> None:
+    """Same pairs, or the same error and message, as one round at a time,
+    for every leader kind against obedient, myopic, scripted and mixed
+    followers."""
+    kinds_seen = set()
+    stretched = errors = 0
+    for seed in range(case * 10, (case + 1) * 10):
+        rng = random.Random(7000 + seed)
+        rows, cols = SHAPES[seed % len(SHAPES)]
+        game = random_game(rng, rows, cols)
+        length = rng.randint(3, 12)
+        for kind, leader in simulate_leaders(rng, game, length, seed):
+            kinds_seen.add(kind)
+            # A follower obeying a script of its own leaves the leader's
+            # script, and its column runs end where the leader's runs do not.
+            own_script = sorted(
+                ActionPair(rng.randint(1, rows), rng.randint(1, cols)) for _ in range(length)
+            )
+            followers = [
+                ("myopic", myopic_best_responder(game, leader)),
+                ("constant", ConstantGPA(random_mixed(rng, cols))),
+                ("scripted", prescription_follower(own_script, cols)),
+            ]
+            if isinstance(leader, PrescribedSequenceGPA):
+                followers.append(("obedient", prescription_follower(leader.prescription, cols)))
+            for follower_kind, follower in followers:
+                for horizon in (1, 2, length, length + 3):
+                    args = (leader, follower, game, horizon, seed)
+                    expected = simulate_outcome(per_round_simulate, *args)
+                    context = f"seed {seed}, {rows}x{cols}, T={horizon}, {kind} vs {follower_kind}"
+                    assert simulate_outcome(simulate, *args) == expected, context
+                    if isinstance(expected[0], type):
+                        errors += 1
+                    else:
+                        stretched += len(set(expected)) < horizon
+    assert kinds_seen == {
+        "deterministic", "sampled", "shuffled-pure", "shuffled-mixed", "grim", "two_phase",
+        "constant", "lookup", "mw",
+    }
+    assert stretched and errors
+
+
+class CountingLeader(PrescribedSequenceGPA):
+    """A prescribed leader that counts the rounds it is asked to play."""
+
+    asked = 0
+
+    def strategy_at(self, t, state):
+        self.asked += 1
+        return super().strategy_at(t, state)
+
+
+@pytest.mark.parametrize("follower_kind", ["obedient", "myopic"])
+def test_simulate_plays_a_script_once_per_run(follower_kind) -> None:
+    """The work does not grow with T.  The obedient follower plays the three
+    runs of a deterministic PD script in three rounds of work.  The myopic
+    follower defects in round 1 and is punished for the rest: two rounds of
+    work, in each of which it asks the leader too."""
+    horizon = 10_000
+    built, _ = build_deterministic_gpa(PD, horizon)
+    leader = CountingLeader(PD, built.prescription, built.threat_strategy)
+    assert len(leader.runs) == 3
+    if follower_kind == "obedient":
+        follower, asked = prescription_follower(leader.prescription, PD.cols), 3
+        expected = leader.prescription
+    else:
+        follower, asked = myopic_best_responder(PD, leader), 4
+        expected = (ActionPair(2, 2),) * horizon
+    transcript = simulate(leader, follower, PD, horizon, 0)
+    assert leader.asked == asked
+    assert transcript.pairs == expected
+    assert transcript == per_round_simulate(leader, follower, PD, horizon, 0)
+
+
+def test_prescribed_holds_to_the_end_of_its_run_or_script() -> None:
+    script = [ActionPair(1, 1)] * 3 + [ActionPair(2, 1)] * 2 + [ActionPair(2, 2)] * 4
+    leader = PrescribedSequenceGPA(PD, script, MixedStrategy.pure(2, 2))
+    assert [leader.hold(t, False) for t in range(9)] == [3, 2, 1, 2, 1, 4, 3, 2, 1]
+    assert [leader.hold(t, True) for t in range(9)] == list(range(9, 0, -1))
+    # The follower sees columns only: (1,1) and (2,1) form one column run.
+    follower = PrescriptionFollower(script, PD.cols)
+    assert [follower.hold(t, None) for t in range(9)] == [5, 4, 3, 2, 1, 4, 3, 2, 1]
+    assert myopic_best_responder(PD, leader).hold(3, False) == 2
+    assert GrimTriggerGPA(PD, ActionPair(1, 1), 2).hold(0, False) == 1
+
+
+# ---------------------------------------------------------------------------
+# The closed-form evaluator against the backward induction it replaces.
+
+
+def differential_prescriptions(rng, game, horizon, seed):
+    """Sorted, shuffled and sampled scripts under pure and mixed threats."""
+    sampled = []
+    if horizon >= 2:
+        sampled = list(sample_prescription(game, horizon, seed).gpa.prescription)
+    drawn = [
+        ActionPair(rng.randint(1, game.rows), rng.randint(1, game.cols)) for _ in range(horizon)
+    ]
+    shuffled = list(sampled or drawn)
+    rng.shuffle(shuffled)
+    scripts = [("sorted", sorted(drawn)), ("shuffled", shuffled), ("drawn", drawn)]
+    if sampled:
+        scripts.append(("sampled", sampled))
+    threats = [
+        ("pure", MixedStrategy.pure(rng.randint(1, game.rows), game.rows)),
+        ("mixed", random_mixed(rng, game.rows, lowest=1)),
+        ("threat", threat(game).strategy),
+    ]
+    for (script_kind, script), (threat_kind, punish) in itertools.product(scripts, threats):
+        leader = PrescribedSequenceGPA(game, script, punish)
+        yield f"{script_kind} script, {threat_kind} threat", leader
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_evaluate_prescription_matches_best_response(case: int) -> None:
+    cases = 0
+    for seed in range(case * 50, (case + 1) * 50):
+        rng = random.Random(5000 + seed)
+        game = random_game(rng, rng.randint(1, 4), rng.randint(1, 4))
+        horizon = rng.randint(1, 9)
+        for kind, leader in differential_prescriptions(rng, game, horizon, seed):
+            result = best_response(leader, game, horizon)
+            assert evaluate_prescription(leader, game) == (
+                result.follower_value,
+                result.leader_value,
+            ), f"seed {seed}, {game.rows}x{game.cols}, T={horizon}, {kind}"
+            cases += 1
+    assert cases >= 50 * 9
+
+
+def budget_outcome(evaluate) -> tuple[int, int, int, int] | None:
+    try:
+        evaluate()
+    except StateSpaceExceeded as exc:
+        return exc.budget, exc.visited, exc.horizon, exc.round
+    return None
+
+
+@pytest.mark.parametrize("shape", ["pd", "2x1"])
+@pytest.mark.parametrize("horizon", [1, 2, 5, 11])
+def test_evaluate_prescription_budget_matches_best_response(shape, horizon) -> None:
+    """Every budget from 1 to 2T: the same four fields, or neither raises."""
+    game = PD if shape == "pd" else validate_game([[1], [0]], [["1/2"], [1]])
+    script = [ActionPair(1, 1)] * (horizon - 1) + [ActionPair(2, 1)]
+    leader = PrescribedSequenceGPA(game, script, threat(game).strategy)
+    raised = 0
+    for budget in range(1, 2 * horizon + 1):
+        expected = budget_outcome(lambda: best_response(leader, game, horizon, budget))
+        actual = budget_outcome(lambda: evaluate_prescription(leader, game, budget))
+        assert actual == expected, budget
+        raised += expected is not None
+    assert raised == (2 * horizon - 2 if shape == "pd" else horizon - 1)

@@ -166,6 +166,33 @@ def test_evaluate_single_column_long_horizon(tmp_path, capsys) -> None:
     assert "follower average = 501/2000" in out
 
 
+def test_evaluate_long_horizon_in_closed_form(pd_file, tmp_path, capsys) -> None:
+    """Deterministic PD at T = 10^5: the evaluator works per run of the
+    script, not per round."""
+    gpa_path = tmp_path / "gpa.json"
+    start = time.perf_counter()
+    assert main(["build", pd_file, "-T", "100000", "-o", str(gpa_path)]) == 0
+    capsys.readouterr()
+    code, out = run(capsys, "evaluate", pd_file, str(gpa_path), "--json")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["follower_average"]) == ("Obeys", "25001/125000")
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("follower", ["obedient", "myopic"])
+def test_simulate_past_the_end_of_a_script(pd_file, tmp_path, capsys, follower) -> None:
+    gpa_path = tmp_path / "gpa.json"
+    assert main(["build", pd_file, "-T", "11", "-o", str(gpa_path)]) == 0
+    capsys.readouterr()
+    code = main(["simulate", pd_file, str(gpa_path), "-T", "12", "--follower", follower])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: history extends beyond the horizon\n"
+
+
 def test_simulate_obedient(pd_file, tmp_path, capsys) -> None:
     out_path = tmp_path / "gpa.json"
     assert main(["build", pd_file, "-T", "11", "-o", str(out_path)]) == 0
