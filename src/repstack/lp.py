@@ -1,27 +1,34 @@
 """Exact rational linear programming and the leader-commitment LPs.
 
 The simplex solver is integer from reading the program to building its
-answer.  Each coefficient goes straight into its standard-form column of an
-integer tableau, multiplied by one common denominator (the LCM of the
-denominators of the constraint block and of its right-hand sides), and the
-tableau is pivoted fraction-free (Bareiss), so no pivot computes a gcd.  The
+answer.  `simplex_solve` is its `Fraction` front end: it puts each
+coefficient straight into its standard-form column of an integer row,
+multiplied by one common denominator (the LCM of the denominators of the
+constraint block and of its right-hand sides), and builds the answer.  The
 only `Fraction` arithmetic before the answer shifts the right-hand sides by
-the nonzero lower bounds.  `Fraction`s are built at the end: one per original
-variable from the final tableau, and the objective from its row 0.  Bland's
+the nonzero lower bounds.  `_two_phase` is the one integer core behind it:
+phase 1, the artificial drive-out with redundant-row dropping, and phase 2,
+each pivot fraction-free (Bareiss), so no pivot computes a gcd.  Bland's
 anti-cycling pivot rule makes it terminate on every input and return the
 same optimal vertex for the same program every time.  On top of it sit the
 two game LPs: the zero-sum threat computation, whose certificate
 max_j x*.M2 e_j == V is checked in integers, and the commitment LP that
 bounds what any leader strategy can extract from a best-responding follower.
 
+The commitment LP builds no `LinearProgram`: its integer rows come straight
+from the game's integer view (granularity * M2, the threat value and
+granularity * M1) and go through `_two_phase`, which takes the same pivots
+to the same vertex as `simplex_solve` on the same program.
+
 The threat LP has a fast path that answers with the same vertex.  Its
-integer tableau is built straight from granularity * M2, from a basis that is
-feasible by construction (no artificials, no phase 1), and optimized with
-Dantzig's entering rule.  The answer is used only when every nonbasic reduced
-cost at the optimum is strictly positive (bar the twin of the free value's
-basic half): then the optimum is unique, so it is the vertex that Bland's rule
-reaches too.  Otherwise, or when Dantzig's rule runs into a long degenerate
-run, the threat LP goes through `simplex_solve` as a `LinearProgram`.
+integer tableau is written out from granularity * M2 already in a start
+basis that is feasible by construction (no artificials, no phase 1), and
+optimized with Dantzig's entering rule.  The answer is used only when
+every nonbasic reduced cost at the optimum is strictly positive (bar the
+twin of the free value's basic half): then the optimum is unique, so it is
+the vertex that Bland's rule reaches too.  Otherwise, or when Dantzig's rule
+runs into a long degenerate run, the threat LP goes through `simplex_solve`
+as a `LinearProgram`.
 """
 
 from __future__ import annotations
@@ -122,10 +129,9 @@ def _pivot(
     The tableau holds `denominator` times the true rational tableau.  Every
     other row becomes (p*row - row[e]*pivot_row) / denominator, where p is the
     pivot, and the division is exact by Sylvester's identity.  A negative
-    pivot (possible when driving out artificials or installing the threat
-    LP's start basis) first negates the pivot row, which negates every row
-    of the result and keeps the denominator positive, so signs in the
-    tableau are the true tableau's signs.
+    pivot (possible when driving out artificials) first negates the pivot
+    row, which negates every row of the result and keeps the denominator
+    positive, so signs in the tableau are the true tableau's signs.
     """
     row = tableau[pivot_row]
     if row[pivot_col] < 0:
@@ -225,65 +231,38 @@ def _standard_row(row: Sequence[Fraction], scale: int, free: Sequence[int]) -> l
     return out
 
 
-def simplex_solve(lp: LinearProgram) -> LPSolution:
-    """Exact two-phase simplex with Bland's rule.
+def _two_phase(
+    rows: list[list[int]], costs: list[int]
+) -> tuple[LPStatus, list[list[int]], list[int], int, tuple[int, int]]:
+    """Two-phase Bland's-rule simplex over integer constraint rows.
 
-    Returns the canonical optimal basic solution for the program (fixed pivot
-    rule, hence deterministic), or a solution object with INFEASIBLE /
-    UNBOUNDED status.  The program's rows go straight into an integer
-    tableau, scaled by the LCM of the denominators of the constraint block
-    and its right-hand sides, and every pivot is fraction-free; the only
-    `Fraction`s are the returned values and objective, built from the final
-    tableau.
+    Each row holds a constraint over the real columns, right-hand side last;
+    `costs` are the phase-2 costs to maximize.  A row with a negative
+    right-hand side is negated, and each row gets an identity artificial
+    column.  Leftover artificials are driven out on the first real column
+    with a nonzero entry; a row with none is redundant and dropped.  Returns
+    the status, the final tableau, its basis and denominator, and the
+    (phase 1, phase 2) pivot counts.  Scaling every row by one positive
+    integer, or the costs by another, keeps every sign and ratio order that
+    Bland's rule reads (the artificials scale with the rows), so it takes the
+    same pivots to the same vertex.
     """
-    bounds = lp.bounds()
-
-    # Standard form: every variable becomes nonnegative, shifted by its lower
-    # bound or split into a difference of two nonnegative columns when free.
-    # Only a nonzero lower bound shifts the right-hand sides.
-    free = [j for j, lb in enumerate(bounds) if lb is None]
-    shifts = [(j, lb) for j, lb in enumerate(bounds) if lb]
-    rows = (*lp.a_eq, *lp.a_ge)
-    rhs = (*lp.b_eq, *lp.b_ge)
-    if shifts:
-        rhs = tuple(b - sum(row[j] * lb for j, lb in shifts) for row, b in zip(rows, rhs))
-    n_eq, m = len(lp.a_eq), len(rows)
-    n_slacks = m - n_eq
-    n_real = len(bounds) + len(free) + n_slacks
-
-    # One common scale for the whole constraint block, right-hand sides
-    # included.  Scaling rows separately would change the signs of phase-1
-    # reduced costs, and with them Bland's choices; one scale keeps every
-    # sign and ratio order, since the identity artificial columns then stand
-    # for artificials scaled by L.
-    scale = math.lcm(
-        *(v.denominator for row in rows for v in row), *(b.denominator for b in rhs)
-    )
-
-    # Phase 1: artificial variable per row, minimize their sum.  A row whose
-    # scaled right-hand side is negative is negated, artificial excepted.
+    n_real, m = len(costs), len(rows)
     tableau: list[list[int]] = [[]]
     basis: list[int] = []
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        slack = [0] * n_slacks
-        if i >= n_eq:
-            slack[i - n_eq] = -scale
-        scaled = _standard_row(row, scale, free) + slack
-        scaled.append(b.numerator * (scale // b.denominator))
-        if scaled[-1] < 0:
-            scaled = [-v for v in scaled]
+    for i, row in enumerate(rows):
+        if row[-1] < 0:
+            row = [-v for v in row]
         art = [0] * m
         art[i] = 1
-        tableau.append(scaled[:-1] + art + scaled[-1:])
+        tableau.append(row[:-1] + art + row[-1:])
         basis.append(n_real + i)
     _rebuild_cost_row(tableau, basis, [0] * n_real + [-1] * m, 1)
     status, denominator, phase1_pivots = _optimize(tableau, basis, n_real + m, 1)
     assert status is LPStatus.OPTIMAL  # phase 1 objective is bounded above by 0
     if tableau[0][-1] != 0:
-        return LPSolution(LPStatus.INFEASIBLE, pivots=(phase1_pivots, 0))
+        return LPStatus.INFEASIBLE, tableau, basis, denominator, (phase1_pivots, 0)
 
-    # Drive leftover artificial variables out of the basis; a row with no
-    # real-column entry is redundant and gets dropped.
     drop_rows: list[int] = []
     for i in range(m):
         if basis[i] >= n_real:
@@ -300,22 +279,63 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
         del tableau[i]
         del basis[i - 1]
 
-    # Phase 2 on real columns only, with the objective scaled to integers by
-    # the LCM of its denominators.
     tableau = [row[:n_real] + [row[-1]] for row in tableau]
-    cost_scale = math.lcm(*(c.denominator for c in lp.objective))
-    costs = _standard_row(lp.objective, cost_scale, free) + [0] * n_slacks
     _rebuild_cost_row(tableau, basis, costs, denominator)
     status, denominator, phase2_pivots = _optimize(tableau, basis, n_real, denominator)
-    pivots = (phase1_pivots, phase2_pivots)
-    if status is LPStatus.UNBOUNDED:
-        return LPSolution(LPStatus.UNBOUNDED, pivots=pivots)
+    return status, tableau, basis, denominator, (phase1_pivots, phase2_pivots)
+
+
+def simplex_solve(lp: LinearProgram) -> LPSolution:
+    """Exact two-phase simplex with Bland's rule.
+
+    Returns the canonical optimal basic solution for the program (fixed pivot
+    rule, hence deterministic), or a solution object with INFEASIBLE /
+    UNBOUNDED status.  The program's rows go straight into integer rows,
+    scaled by the LCM of the denominators of the constraint block and its
+    right-hand sides, and `_two_phase` pivots them fraction-free; the only
+    `Fraction`s are the returned values and objective, built from the final
+    tableau.
+    """
+    bounds = lp.bounds()
+
+    # Standard form: every variable becomes nonnegative, shifted by its lower
+    # bound or split into a difference of two nonnegative columns when free.
+    # Only a nonzero lower bound shifts the right-hand sides.
+    free = [j for j, lb in enumerate(bounds) if lb is None]
+    shifts = [(j, lb) for j, lb in enumerate(bounds) if lb]
+    rows = (*lp.a_eq, *lp.a_ge)
+    rhs = (*lp.b_eq, *lp.b_ge)
+    if shifts:
+        rhs = tuple(b - sum(row[j] * lb for j, lb in shifts) for row, b in zip(rows, rhs))
+    n_eq = len(lp.a_eq)
+    n_slacks = len(rows) - n_eq
+
+    # One common scale for the whole constraint block, right-hand sides
+    # included: scaling rows separately would change the signs of phase-1
+    # reduced costs, and with them Bland's choices.
+    scale = math.lcm(
+        *(v.denominator for row in rows for v in row), *(b.denominator for b in rhs)
+    )
+    scaled_rows = []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        slack = [0] * n_slacks
+        if i >= n_eq:
+            slack[i - n_eq] = -scale
+        scaled_rows.append(
+            _standard_row(row, scale, free) + slack + [b.numerator * (scale // b.denominator)]
+        )
+    # The objective is scaled to integers by the LCM of its denominators.
+    cost_scale = math.lcm(*(c.denominator for c in lp.objective))
+    costs = _standard_row(lp.objective, cost_scale, free) + [0] * n_slacks
+    status, tableau, basis, denominator, pivots = _two_phase(scaled_rows, costs)
+    if status is not LPStatus.OPTIMAL:
+        return LPSolution(status, pivots=pivots)
 
     # The right-hand sides hold denominator * B^-1 b for the scaled rows,
     # which is denominator * x: the row scale cancels against the basis.
     # Row 0's holds denominator * cost_scale times the standard objective,
     # which misses only the constant sum_j c_j lb_j of the shifts.
-    scaled_x = [0] * n_real
+    scaled_x = [0] * len(costs)
     for var, row in zip(basis, tableau[1:]):
         scaled_x[var] = row[-1]
     values = []
@@ -392,39 +412,25 @@ def _threat_program(game: BimatrixGame) -> LinearProgram:
 def _certified_threat(game: BimatrixGame) -> tuple[list[Fraction], Fraction] | None:
     """(x*, v) of the threat LP when its optimum is provably unique, else None.
 
-    The integer tableau comes straight from A*M2, A the granularity, over
-    the columns x_1..x_rows, w+, w-, s_1..s_cols, where w = A*v = w+ - w-
-    and s_j = A*(v - x.M2 e_j), so every coefficient but x's is +-1:
-    row 1 is sum_i x_i = 1 and row 1 + j is -x.(A*M2) e_j + w+ - w- - s_j = 0.
-    The start basis needs no phase 1: x_1 = 1, w basic in the row of
-    j* = argmax_j M2[1][j] (through w- when that entry is negative) and
-    s_j = w - (A*M2)[1][j] >= 0 basic in every other row.  Dantzig's rule
-    runs phase 2.  At its optimum, a strictly positive reduced cost on every
-    nonbasic column except the twin of w's basic half (whose reduced cost is
-    0, and moving it leaves w unchanged) means no other feasible point is
-    optimal; so the vertex is the one any pivot rule reaches, Bland's
-    included.  Without that certificate, or when Dantzig's rule stalls on a
-    long degenerate run, this returns None.
+    The integer tableau is over the columns x_1..x_rows, w+, w-,
+    s_1..s_cols, where w = A*v = w+ - w- and s_j = A*(v - x.M2 e_j), A the
+    granularity: row 1 is sum_i x_i = 1 and row 1 + j is
+    -x.(A*M2) e_j + w+ - w- - s_j = 0.  The start basis needs no phase 1:
+    x_1 = 1, w basic in the row of j* = argmax_j M2[1][j] (through w- when
+    that entry is negative) and s_j = w - (A*M2)[1][j] >= 0 basic in every
+    other row.  `_threat_start` writes that tableau out from A*M2.
+    Dantzig's rule runs phase 2.  At its optimum, a strictly positive
+    reduced cost on every nonbasic column except the twin of w's basic half
+    (whose reduced cost is 0, and moving it leaves w unchanged) means no
+    other feasible point is optimal; so the vertex is the one any pivot rule
+    reaches, Bland's included.  Without that certificate, or when Dantzig's
+    rule stalls on a long degenerate run, this returns None.
     """
     rows, cols = game.rows, game.cols
-    scaled = game.scaled_m2
     w = rows  # w+ is column w, w- is column w + 1
     n = rows + 2 + cols
-    cost = [0] * (n + 1)
-    cost[w], cost[w + 1] = 1, -1  # row 0 starts at -c for maximize -w+ + w-
-    tableau = [cost, [1] * rows + [0] * (cols + 2) + [1]]
-    for j in range(cols):
-        row = [-scaled[i][j] for i in range(rows)] + [1, -1] + [0] * (cols + 1)
-        row[w + 2 + j] = -1
-        tableau.append(row)
-    first = scaled[0]
-    top = first.index(max(first))
-    basis = [0] + [w + 2 + j for j in range(cols)]
-    basis[1 + top] = w if first[top] >= 0 else w + 1
-    denominator = 1
-    for i, var in enumerate(basis, start=1):
-        denominator = _pivot(tableau, i, var, denominator)
-    status, denominator, _ = _optimize(tableau, basis, n, denominator, dantzig=True)
+    tableau, basis = _threat_start(game)
+    status, denominator, _ = _optimize(tableau, basis, n, 1, dantzig=True)
     if status is not LPStatus.OPTIMAL:
         return None
     # The twin of w's basic half; if neither half is basic, the check below
@@ -439,6 +445,45 @@ def _certified_threat(game: BimatrixGame) -> tuple[list[Fraction], Fraction] | N
     weights = [Fraction(values[i], denominator) for i in range(rows)]
     value = Fraction(values[w] - values[w + 1], denominator * game.granularity)
     return weights, value
+
+
+def _threat_start(game: BimatrixGame) -> tuple[list[list[int]], list[int]]:
+    """`_certified_threat`'s tableau in its start basis, and that basis.
+
+    The start basis has determinant +-1, so the tableau has denominator 1.
+    With S = A*M2, t = j* and sigma = +1 when w+ is basic (-1 for w-),
+    substituting x_1 = 1 - sum_{i>1} x_i into every row and w from row t
+    into the others gives, over the columns x_i:
+    - row 0: S[i][t] - S[1][t], s_t at 1, right-hand side -S[1][t];
+    - row t: sigma*(S[1][t] - S[i][t]), w+ at sigma, w- and s_t at -sigma,
+      right-hand side sigma*S[1][t];
+    - row j != t: S[i][j] - S[1][j] - S[i][t] + S[1][t], s_t at -1, s_j at 1,
+      right-hand side S[1][t] - S[1][j].
+    """
+    rows, cols = game.rows, game.cols
+    scaled = game.scaled_m2
+    first = scaled[0]
+    top = first.index(max(first))
+    sign = 1 if first[top] >= 0 else -1
+    shift = [row[top] - first[top] for row in scaled]
+    s = rows + 2  # s_1 is column s
+    tableau = [
+        shift + [0] * (cols + 2) + [-first[top]],
+        [1] * rows + [0] * (cols + 2) + [1],
+    ]
+    tableau[0][s + top] = 1
+    for j in range(cols):
+        if j == top:
+            row = [-sign * d for d in shift] + [sign, -sign] + [0] * cols + [sign * first[top]]
+            row[s + top] = -sign
+        else:
+            row = [r[j] - first[j] - d for r, d in zip(scaled, shift)] + [0] * (cols + 2)
+            row.append(first[top] - first[j])
+            row[s + top], row[s + j] = -1, 1
+        tableau.append(row)
+    basis = [0] + [s + j for j in range(cols)]
+    basis[1 + top] = rows if sign > 0 else rows + 1
+    return tableau, basis
 
 
 def reply_values(game: BimatrixGame, strategy: MixedStrategy) -> tuple[list[int], int]:
@@ -496,20 +541,35 @@ def stackelberg_lp(game: BimatrixGame) -> StackelbergSolution:
 
     The distribution induced by the threat strategy and a follower best reply
     is always feasible, so the program is never infeasible; it is bounded by
-    the maximum leader payoff.
+    the maximum leader payoff.  Its integer rows come straight from the
+    game's integer view, over one weight per pair (row-major) and the
+    slack of the threat row: sum_p alpha_p = 1 and
+    sum_p M2(p) alpha_p - s = V, both scaled by L = lcm(A, den V), A the
+    granularity, with the costs A*M1.  `_two_phase` pivots them as
+    `simplex_solve` would the same program, and `Fraction`s are built only
+    for the nonzero basic weights.
     """
     threat_result = threat(game)
-    # Variables: the weight of each pair, in row-major order.
-    objective = tuple(itertools.chain.from_iterable(game.m1))
-    a_ge = (tuple(itertools.chain.from_iterable(game.m2)),)
-    b_ge = (threat_result.value,)
-    a_eq = ((ONE,) * len(objective),)
-    b_eq = (ONE,)
-    solution = simplex_solve(LinearProgram(objective, a_eq, b_eq, a_ge, b_ge))
-    assert solution.status is LPStatus.OPTIMAL and solution.values is not None
-    alpha = dict(zip(game.pairs(), solution.values))
-    assert solution.objective_value is not None
+    value = threat_result.value
+    scale = math.lcm(game.granularity, value.denominator)
+    factor = scale // game.granularity
+    follower = [factor * v for row in game.scaled_m2 for v in row]
+    n = len(follower)
+    rows = [
+        [scale] * n + [0, scale],
+        follower + [-scale, value.numerator * (scale // value.denominator)],
+    ]
+    costs = [v for row in game.scaled_m1 for v in row] + [0]
+    status, tableau, basis, denominator, _ = _two_phase(rows, costs)
+    assert status is LPStatus.OPTIMAL
+    alpha = dict.fromkeys(game.pairs(), ZERO)
+    for var, row in zip(basis, tableau[1:]):
+        if var < n and row[-1]:
+            alpha[game.pair_table[var // game.cols][var % game.cols]] = Fraction(
+                row[-1], denominator
+            )
     return StackelbergSolution(
-        alpha=alpha, value=solution.objective_value, threat=threat_result
+        alpha=alpha,
+        value=Fraction(tableau[0][-1], denominator * game.granularity),
+        threat=threat_result,
     )
-

@@ -19,6 +19,11 @@ follower-best pair and payoff totals as they were before the game held them
 as integers: a `Fraction`-keyed sort, a `Fraction`-keyed min and a `Fraction`
 fold.  `per_round_simulate` is the simulator as it was before it played pure
 stretches a run at a time: one round and one `step` per player at a time.
+`commitment_program` is the commitment LP as `stackelberg_lp` built it
+before it pivoted the game's integer view directly: a `LinearProgram` for
+`simplex_solve`.  `installed_threat_start` is the certified threat's start
+tableau as it was built before it was written out: the raw integer tableau
+plus one Bareiss pivot per basic variable.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from repstack.gpa import (
     history_key,
 )
 from repstack.hardness import DimensionMismatch, ThreePlayerGame, _grid_points
-from repstack.lp import LinearProgram, LPSolution, LPStatus, stackelberg_lp
+from repstack.lp import ONE, LinearProgram, LPSolution, LPStatus, _pivot, stackelberg_lp
 from repstack.oracle import (
     _STREAM_FOLLOWER,
     _STREAM_LEADER,
@@ -460,6 +465,41 @@ def fraction_simplex_solve(lp: LinearProgram) -> LPSolution:
         values.append(total + shift[j])
     objective_value = sum((c * v for c, v in zip(lp.objective, values)), zero)
     return LPSolution(LPStatus.OPTIMAL, tuple(values), objective_value, pivots)
+
+
+def commitment_program(game: BimatrixGame, value: Fraction) -> LinearProgram:
+    """The commitment LP over one weight per pair, row-major, with threat value `value`."""
+    # Variables: the weight of each pair, in row-major order.
+    objective = tuple(itertools.chain.from_iterable(game.m1))
+    a_ge = (tuple(itertools.chain.from_iterable(game.m2)),)
+    b_ge = (value,)
+    a_eq = ((ONE,) * len(objective),)
+    b_eq = (ONE,)
+    return LinearProgram(objective, a_eq, b_eq, a_ge, b_ge)
+
+
+def installed_threat_start(game: BimatrixGame) -> tuple[list[list[int]], list[int], int]:
+    """The certified threat's raw tableau with its start basis installed by
+    pivoting: (tableau, basis, denominator)."""
+    rows, cols = game.rows, game.cols
+    scaled = game.scaled_m2
+    w = rows  # w+ is column w, w- is column w + 1
+    n = rows + 2 + cols
+    cost = [0] * (n + 1)
+    cost[w], cost[w + 1] = 1, -1  # row 0 starts at -c for maximize -w+ + w-
+    tableau = [cost, [1] * rows + [0] * (cols + 2) + [1]]
+    for j in range(cols):
+        row = [-scaled[i][j] for i in range(rows)] + [1, -1] + [0] * (cols + 1)
+        row[w + 2 + j] = -1
+        tableau.append(row)
+    first = scaled[0]
+    top = first.index(max(first))
+    basis = [0] + [w + 2 + j for j in range(cols)]
+    basis[1 + top] = w if first[top] >= 0 else w + 1
+    denominator = 1
+    for i, var in enumerate(basis, start=1):
+        denominator = _pivot(tableau, i, var, denominator)
+    return tableau, basis, denominator
 
 
 def fraction_grid_audit_player3(game3: ThreePlayerGame, resolution: int) -> Fraction:

@@ -413,23 +413,23 @@ def test_construction_solves_two_linear_programs(pd_game, monkeypatch, construct
     """One threat LP and one commitment LP: the threat is solved only once.
 
     Every threat solve starts in `_certified_threat`, and PD's threat is
-    certified there, so `simplex_solve` sees the commitment LP alone.
+    certified there, so the two-phase core sees the commitment LP alone.
     """
     calls = []
 
     def counting(name):
         solve = getattr(lp, name)
 
-        def counted(arg):
+        def counted(*args):
             calls.append(name)
-            return solve(arg)
+            return solve(*args)
 
         monkeypatch.setattr(lp, name, counted)
 
     counting("_certified_threat")
-    counting("simplex_solve")
+    counting("_two_phase")
     construct(pd_game)
-    assert calls == ["_certified_threat", "simplex_solve"]
+    assert calls == ["_certified_threat", "_two_phase"]
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -423,11 +423,12 @@ def _game_programs(monkeypatch) -> list[LinearProgram]:
     `stackelberg_lp`), the commitment program, the threat program of the
     negated game (`game_value`'s) and the follower-side dual.
 
-    A certified threat never calls the solver, so the threat programs are
-    built with `_threat_program`; the commitment and dual programs are the
-    ones the solver receives, less the threat program that `stackelberg_lp`
-    hands it when its threat falls back.
+    A certified threat never calls the solver, and `stackelberg_lp` pivots
+    its own integer rows, so the threat and commitment programs are built
+    with `_threat_program` and `commitment_program`; the dual program is the
+    one the solver receives.
     """
+    from conftest import commitment_program
     from repstack.lp import _threat_program
 
     rng = random.Random(5000)
@@ -437,12 +438,8 @@ def _game_programs(monkeypatch) -> list[LinearProgram]:
             for _ in range(6):
                 game = _granular_game(rng, rng.randint(1, 4), rng.randint(1, 4), granularity, zero_sum)
                 threat_program = _threat_program(game)
-                commitment = [
-                    program
-                    for program in _recorded_programs(monkeypatch, lambda: stackelberg_lp(game))
-                    if program != threat_program
-                ]
-                programs += [threat_program, threat_program, *commitment]
+                commitment = commitment_program(game, threat(game).value)
+                programs += [threat_program, threat_program, commitment]
                 programs.append(_threat_program(_negated(game)))
                 programs += _recorded_programs(monkeypatch, lambda: _threat_dual_value(game))
     return programs
@@ -888,3 +885,95 @@ def test_threat_falls_back_when_dantzig_gives_up(pd_game, monkeypatch) -> None:
     monkeypatch.setattr(lp, "MAX_DEGENERATE_RUN", -1)  # the first pivot is past the bound
     assert lp._certified_threat(pd_game) is None
     assert threat(pd_game) == expected
+
+
+def _commitment_solve(monkeypatch, game):
+    """`stackelberg_lp(game)` with the pivots of its commitment solve:
+    (solution, (phase 1, phase 2) pivots, drive-out pivots)."""
+    from repstack import lp
+
+    runs = []
+    two_phase, optimize = lp._two_phase, lp._optimize
+
+    def recording(rows, costs):
+        optimized = []
+
+        def counted(*args, **kwargs):
+            result = optimize(*args, **kwargs)
+            optimized.append(result[2])
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "_optimize", counted)
+            result = two_phase(rows, costs)
+        pivots = result[4]
+        runs.append((pivots, pivots[0] - optimized[0]))  # phase 1's own pivots first
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_two_phase", recording)
+        solution = stackelberg_lp(game)
+    # A threat that falls back solves its program first; the commitment is last.
+    return (solution, *runs[-1])
+
+
+def test_stackelberg_lp_matches_commitment_program(monkeypatch) -> None:
+    """`stackelberg_lp` pivots the game's integer view to the alpha, value
+    and pivot counts that Bland's-rule simplex gives on the commitment
+    `LinearProgram`, on 1 x k, k x 1 and up to 12 x 12 games, zero-sum ones
+    included; every branch of the solve runs."""
+    from conftest import commitment_program, fraction_simplex_solve
+
+    rng = random.Random(9000)
+    seen = dict.fromkeys(
+        ["negated row", "drive-out pivot", "one pair", "two pairs", "V's denominator not in A"], 0
+    )
+    for granularity in (1, 2, 6, 60):
+        for draw in range(30):
+            rows, cols = _differential_shape(rng, draw)
+            game = _granular_game(rng, rows, cols, granularity, zero_sum=draw % 5 == 4)
+            solution, pivots, drive_out = _commitment_solve(monkeypatch, game)
+            value = threat(game).value
+            reference = fraction_simplex_solve(commitment_program(game, value))
+            assert list(solution.alpha) == list(game.pairs())
+            assert tuple(solution.alpha.values()) == reference.values, game
+            assert solution.value == reference.objective_value, game
+            assert pivots == reference.pivots, game
+            assert all(type(w) is Fraction for w in solution.alpha.values())
+            support = sum(w != 0 for w in solution.alpha.values())
+            seen["negated row"] += value < 0
+            seen["drive-out pivot"] += drive_out > 0
+            seen["one pair"] += support == 1
+            seen["two pairs"] += support == 2
+            seen["V's denominator not in A"] += granularity % value.denominator != 0
+    # 54, 26, 60, 60 and 67 of the 120 games when this test was written.
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def _negative_first_row(game):
+    """The game with every entry of M2's first row made negative."""
+    m2 = [list(row) for row in game.m2]
+    m2[0] = [-abs(v) or F(-1) for v in m2[0]]
+    return validate_game(game.m1, m2)
+
+
+def test_threat_start_is_the_installed_tableau() -> None:
+    """`_threat_start` writes out, entry for entry, the tableau that the raw
+    rows reach by pivoting in the start basis, with denominator 1; w- is
+    basic when M2's first row has a negative maximum."""
+    from conftest import installed_threat_start
+    from repstack.lp import _threat_start
+
+    rng = random.Random(9100)
+    through_w_minus = 0
+    for granularity in (1, 2, 6, 60):
+        for draw in range(24):
+            rows, cols = _differential_shape(rng, draw)
+            game = _granular_game(rng, rows, cols, granularity, zero_sum=draw % 5 == 4)
+            if draw % 4 == 3:
+                game = _negative_first_row(game)
+            tableau, basis, denominator = installed_threat_start(game)
+            assert denominator == 1
+            assert _threat_start(game) == (tableau, basis), game
+            through_w_minus += basis.count(rows + 1)
+    assert through_w_minus >= 20, through_w_minus  # 30 of 96 when this test was written
