@@ -29,6 +29,10 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_VERIFICATION = 4
 
+# audit-vc's threshold 1 + 1/((n-2) n^(c-1)) has about c * log10(n) digits;
+# at n = 20 and c = 1000 that is about 1,300, within Python's int-to-str limit.
+MAX_C_EXPONENT = 1000
+
 
 def _read_text(path: str) -> str:
     try:
@@ -278,6 +282,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def cmd_audit_vc(args: argparse.Namespace) -> int:
     if args.resolution < 1:
         raise InputError("resolution must be at least 1")
+    if not 0 <= args.c_exponent <= MAX_C_EXPONENT:
+        raise InputError(f"--c-exponent must be in 0..{MAX_C_EXPONENT}, got {args.c_exponent}")
     graph = _load_graph(args.graph)
     cover = hardness.balanced_vertex_cover(graph)
     game3 = hardness.reduce_graph(graph)

@@ -182,27 +182,23 @@ def reduce_graph(graph: Graph) -> ThreePlayerGame:
     n = graph.n
     if n < 3:
         raise GraphTooSmall(f"reduction needs n >= 3, got n = {n}")
-    bonus = Fraction(n, n - 2)
+    # Every entry is one of three shared, immutable values.
+    zero, one, bonus = Fraction(0), Fraction(1), Fraction(n, n - 2)
     k = graph.m + n + 1
-    mu1 = []
-    mu2 = []
+    # Players 1 and 2 get the same cell at every vertex pair.
+    plane = ((one,) + (zero,) * (k - 1),) * n
+    mu12 = (plane,) * n
     mu3 = []
     for r in range(1, n + 1):
-        row1, row2, row3 = [], [], []
+        # Edge actions read Player 1's vertex alone.
+        edge_payoffs = tuple(zero if r in edge else bonus for edge in graph.edges)
+        plane3 = []
         for s in range(1, n + 1):
-            cell3 = [Fraction(1)]  # index 0: t0
-            for v in range(1, n + 1):
-                cell3.append(Fraction(0) if v in (r, s) else bonus)
-            for u, w in graph.edges:
-                cell3.append(Fraction(0) if r in (u, w) else bonus)
-            row3.append(tuple(cell3))
-            common = tuple([Fraction(1)] + [Fraction(0)] * (k - 1))
-            row1.append(common)
-            row2.append(common)
-        mu1.append(tuple(row1))
-        mu2.append(tuple(row2))
-        mu3.append(tuple(row3))
-    return ThreePlayerGame(graph, tuple(mu1), tuple(mu2), tuple(mu3))
+            vertex_payoffs = [bonus] * n
+            vertex_payoffs[r - 1] = vertex_payoffs[s - 1] = zero
+            plane3.append((one, *vertex_payoffs, *edge_payoffs))
+        mu3.append(tuple(plane3))
+    return ThreePlayerGame(graph, mu12, mu12, tuple(mu3))
 
 
 def balanced_vertex_cover(graph: Graph) -> tuple[int, ...] | None:
@@ -318,9 +314,12 @@ def grid_audit_player3(
     checked before the sweep starts.  The sweep itself prunes: a grid point
     stops scanning Player 3's actions at the first one that reaches the
     running minimum, since its best reply cannot then lower it, and that
-    action is tried first at the next points with the same P2 weights.  So
-    it usually evaluates far fewer actions, and returns the same exact
-    minimum.
+    action is tried first at the next points.  So it usually evaluates far
+    fewer actions, and returns the same exact minimum.  Each action's
+    payoffs are scaled to integers once per call, and its row against a P2
+    point (n dot products) is contracted only when the sweep first
+    evaluates that action at that point; a point that lowers the minimum
+    has evaluated, and so contracted, every action.
     """
     if resolution < 1:
         raise InputError("resolution must be at least 1")
@@ -334,34 +333,38 @@ def grid_audit_player3(
     # Integer payoffs over one common denominator; a grid weight q stands for
     # q/resolution, so every total below is (scale * resolution^2) times the
     # exact expected payoff and compares in the same order.
+    # columns[t][r][s] is scale * mu3[r][s][t]: action t's payoffs against
+    # Player 1's vertex r, one entry per Player 2 vertex s.
     scale = math.lcm(*(v.denominator for plane in game3.mu3 for cell in plane for v in cell))
-    mu3 = [
-        [[v.numerator * (scale // v.denominator) for v in cell] for cell in plane]
-        for plane in game3.mu3
-    ]
+    columns = list(
+        zip(*([as_integers(column, scale) for column in zip(*plane)] for plane in game3.mu3))
+    )
     # No total exceeds resolution^2 times the largest payoff, so this bounds
     # the minimum from above, and is the minimum if no scan below completes.
-    worst = resolution * resolution * max(v for plane in mu3 for cell in plane for v in cell)
+    worst = resolution * resolution * max(v for action in columns for c in action for v in c)
+    # One action reaching `worst` shows a point cannot lower it; the action
+    # that showed it last is tried first, at this p2 point and the next.
+    order = list(range(k))
     for q2 in grid:
-        # For fixed p2, precompute each action's payoff vector against p1 rows.
-        weighted = [(s, w) for s, w in enumerate(q2) if w]
-        contracted = [
-            [sum(w * mu3[r][s][t] for s, w in weighted) for r in range(n)]
-            for t in range(k)
-        ]
-        # One action reaching `worst` shows a point cannot lower it; the
-        # action that showed it last is tried first.
-        front = contracted[0]
+        # For fixed p2, action t's row holds its payoff against each p1
+        # vertex; it is contracted only when a p1 point first evaluates t.
+        rows: list[list[int] | None] = [None] * k
+        front = rows[order[0]] = [sum(map(operator.mul, q2, c)) for c in columns[order[0]]]
         for q1 in grid:
             if sum(map(operator.mul, q1, front)) >= worst:
                 continue
             for i in range(1, k):
-                if sum(map(operator.mul, q1, contracted[i])) >= worst:
-                    front = contracted.pop(i)
-                    contracted.insert(0, front)
+                t = order[i]
+                row = rows[t]
+                if row is None:
+                    row = rows[t] = [sum(map(operator.mul, q2, c)) for c in columns[t]]
+                if sum(map(operator.mul, q1, row)) >= worst:
+                    order.insert(0, order.pop(i))
+                    front = row
                     break
             else:
-                worst = max(sum(map(operator.mul, q1, row)) for row in contracted)
+                # Every action was evaluated here, so every row is built.
+                worst = max(sum(map(operator.mul, q1, row)) for row in rows)
     return Fraction(worst, scale * resolution * resolution)
 
 

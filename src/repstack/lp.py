@@ -322,7 +322,7 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
         if i >= n_eq:
             slack[i - n_eq] = -scale
         scaled_rows.append(
-            _standard_row(row, scale, free) + slack + [b.numerator * (scale // b.denominator)]
+            _standard_row(row, scale, free) + slack + as_integers((b,), scale)
         )
     # The objective is scaled to integers by the LCM of its denominators.
     cost_scale = math.lcm(*(c.denominator for c in lp.objective))
@@ -557,7 +557,7 @@ def stackelberg_lp(game: BimatrixGame) -> StackelbergSolution:
     n = len(follower)
     rows = [
         [scale] * n + [0, scale],
-        follower + [-scale, value.numerator * (scale // value.denominator)],
+        follower + [-scale, *as_integers((value,), scale)],
     ]
     costs = [v for row in game.scaled_m1 for v in row] + [0]
     status, tableau, basis, denominator, _ = _two_phase(rows, costs)

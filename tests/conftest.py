@@ -23,7 +23,9 @@ stretches a run at a time: one round and one `step` per player at a time.
 before it pivoted the game's integer view directly: a `LinearProgram` for
 `simplex_solve`.  `installed_threat_start` is the certified threat's start
 tableau as it was built before it was written out: the raw integer tableau
-plus one Bareiss pivot per basic variable.
+plus one Bareiss pivot per basic variable.  `fraction_reduce_graph` is the
+reduction as it was built before it shared its constants: fresh `Fraction`s
+for every entry and fresh cells for every vertex pair.
 """
 
 from __future__ import annotations
@@ -48,7 +50,13 @@ from repstack.gpa import (
     State,
     history_key,
 )
-from repstack.hardness import DimensionMismatch, ThreePlayerGame, _grid_points
+from repstack.hardness import (
+    DimensionMismatch,
+    Graph,
+    GraphTooSmall,
+    ThreePlayerGame,
+    _grid_points,
+)
 from repstack.lp import ONE, LinearProgram, LPSolution, LPStatus, _pivot, stackelberg_lp
 from repstack.oracle import (
     _STREAM_FOLLOWER,
@@ -500,6 +508,34 @@ def installed_threat_start(game: BimatrixGame) -> tuple[list[list[int]], list[in
     for i, var in enumerate(basis, start=1):
         denominator = _pivot(tableau, i, var, denominator)
     return tableau, basis, denominator
+
+
+def fraction_reduce_graph(graph: Graph) -> ThreePlayerGame:
+    """The graph-to-three-player reduction with a fresh `Fraction` per entry."""
+    n = graph.n
+    if n < 3:
+        raise GraphTooSmall(f"reduction needs n >= 3, got n = {n}")
+    bonus = Fraction(n, n - 2)
+    k = graph.m + n + 1
+    mu1 = []
+    mu2 = []
+    mu3 = []
+    for r in range(1, n + 1):
+        row1, row2, row3 = [], [], []
+        for s in range(1, n + 1):
+            cell3 = [Fraction(1)]  # index 0: t0
+            for v in range(1, n + 1):
+                cell3.append(Fraction(0) if v in (r, s) else bonus)
+            for u, w in graph.edges:
+                cell3.append(Fraction(0) if r in (u, w) else bonus)
+            row3.append(tuple(cell3))
+            common = tuple([Fraction(1)] + [Fraction(0)] * (k - 1))
+            row1.append(common)
+            row2.append(common)
+        mu1.append(tuple(row1))
+        mu2.append(tuple(row2))
+        mu3.append(tuple(row3))
+    return ThreePlayerGame(graph, tuple(mu1), tuple(mu2), tuple(mu3))
 
 
 def fraction_grid_audit_player3(game3: ThreePlayerGame, resolution: int) -> Fraction:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import repstack
-from repstack.cli import main
+from repstack.cli import MAX_C_EXPONENT, main
 
 PD = '{"M1": [["3/5", "0"], ["1", "1/5"]], "M2": [["3/5", "1"], ["0", "1/5"]]}'
 INEV = '{"M1": [[1, 0], [0, 0]], "M2": [["1/2", 1], [0, 0]]}'
@@ -361,6 +361,45 @@ def test_audit_vc_rejects_resolution_below_one(tmp_path, capsys, graph, resoluti
     assert code == 2
     assert captured.out == ""
     assert "resolution must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("exponent", [str(MAX_C_EXPONENT + 1), "-1"])
+@pytest.mark.parametrize("graph", [CYCLE4, K4], ids=["cycle4", "k4"])
+def test_audit_vc_rejects_c_exponent_out_of_range(
+    tmp_path, capsys, monkeypatch, graph, exponent
+) -> None:
+    """The exponent is checked before the cover search, so neither path
+    reaches the threshold's power: both exit 2 with the range named."""
+    from repstack import hardness
+
+    def no_search(graph):
+        raise AssertionError("cover search ran before the exponent check")
+
+    monkeypatch.setattr(hardness, "balanced_vertex_cover", no_search)
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text(graph)
+    code = main(["audit-vc", str(graph_path), "--c-exponent", exponent])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --c-exponent must be in 0..{MAX_C_EXPONENT}, got {exponent}\n"
+
+
+def test_audit_vc_k4_at_the_c_exponent_limit(tmp_path, capsys) -> None:
+    """At the limit the threshold has about 600 digits and still prints."""
+    from fractions import Fraction
+
+    graph_path = tmp_path / "k4.txt"
+    graph_path.write_text(K4)
+    code, out = run(
+        capsys, "audit-vc", str(graph_path), "--resolution", "1", "--c-exponent", str(MAX_C_EXPONENT)
+    )
+    threshold = 1 + Fraction(1, 2 * 4 ** (MAX_C_EXPONENT - 1))
+    assert code == 0
+    assert "grid worst case (resolution 1) = 2\n" in out
+    assert f"threshold 1 + 1/((n-2) n^(c-1)) = {threshold}\n" in out
+    assert len(str(threshold.denominator)) > 600
+    assert "holds at every grid point" in out
 
 
 @pytest.mark.parametrize(

@@ -319,6 +319,23 @@ def _random_graph(rng, n: int) -> Graph:
     return Graph(n, edges)
 
 
+def test_reduce_graph_matches_fraction_reference() -> None:
+    """Shared constants change no entry: the tensors and the JSON bytes equal
+    those of the builder with a fresh `Fraction` per entry."""
+    import random
+
+    from conftest import fraction_reduce_graph
+
+    rng = random.Random(8100)
+    graphs = [TRIANGLE, PATH3, EDGELESS, K4]
+    graphs += [_random_graph(rng, rng.randint(3, 8)) for _ in range(16)]
+    assert {graph.n for graph in graphs} == set(range(3, 9))
+    for graph in graphs:
+        game3, reference = reduce_graph(graph), fraction_reduce_graph(graph)
+        assert game3 == reference  # the graph and all three tensors
+        assert game3.to_json().encode() == reference.to_json().encode()
+
+
 def test_grid_audit_matches_fraction_reference() -> None:
     """The integer sweep returns exactly the Fraction sweep's worst case."""
     import random
@@ -429,6 +446,50 @@ def test_pruned_grid_sweep_minimum_at_the_last_point(resolution) -> None:
     assert min(values) == values[-1] and values.count(values[-1]) == 1
     assert grid_audit_player3(game3, resolution) == values[-1]
     assert fraction_grid_audit_player3(game3, resolution) == values[-1]
+
+
+def _few_action_game(n: int, entries) -> "ThreePlayerGame":
+    """Like `_signed_game`, but k is the length of each payoff cell, so k can
+    be 1 or 2 for any n (the reduction itself always has k >= n + 1)."""
+    from repstack import ThreePlayerGame
+
+    class FewActionGame(ThreePlayerGame):
+        @property
+        def strategy_counts(self) -> tuple[int, int, int]:
+            return (self.graph.n, self.graph.n, len(self.mu3[0][0]))
+
+    mu3 = tuple(tuple(tuple(F(v) for v in entries[r][s]) for s in range(n)) for r in range(n))
+    zeros = tuple(tuple(tuple(F(0) for _ in cell) for cell in plane) for plane in mu3)
+    return FewActionGame(Graph(n, ()), zeros, zeros, mu3)
+
+
+@pytest.mark.parametrize("resolution", range(1, 7))
+def test_pruned_grid_sweep_with_one_or_two_actions(resolution) -> None:
+    """With k = 1 no second action is ever tried and with k = 2 exactly one
+    is; the sweep still equals the Fraction reference."""
+    import random
+
+    from conftest import fraction_grid_audit_player3
+
+    rng = random.Random(9100 + resolution)
+    entry = lambda: F(rng.randint(-40, 40), rng.randint(1, 9))
+    games = [_signed_game(1, [[[entry(), entry()]]])]  # n = 1, no edges: k = 2
+    for n in (1, 2, 3):
+        for k in (1, 2):
+            cells = [[[entry() for _ in range(k)] for _ in range(n)] for _ in range(n)]
+            games.append(_few_action_game(n, cells))
+    # Action 0 pays 1 everywhere; action 1 pays 2 at (vertex 1, vertex 1)
+    # and 0 elsewhere.  The first grid point puts all weight on the last
+    # vertex, so action 0 reaches the minimum 1 there and at every later
+    # point, while the largest payoff, 2, starts the sweep above it.
+    for n in (2, 3):
+        cells = [[[1, 2 if r == s == 0 else 0] for s in range(n)] for r in range(n)]
+        games.append(_few_action_game(n, cells))
+    for game3 in games:
+        assert grid_audit_player3(game3, resolution) == fraction_grid_audit_player3(
+            game3, resolution
+        ), (game3.mu3, resolution)
+    assert [grid_audit_player3(game3, resolution) for game3 in games[-2:]] == [1, 1]
 
 
 def test_grid_audit_budget_is_points_squared_times_actions() -> None:
