@@ -267,7 +267,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if args.output:
         _write_text(args.output, text)
     counts = game3.strategy_counts
-    payload = json.loads(text)
+    payload = json.loads(text) if args.json else {}
     lines = [
         f"players 1 and 2: {counts[0]} strategies each; player 3: {counts[2]} strategies",
     ]

@@ -156,19 +156,34 @@ class ThreePlayerGame:
 
     def to_json(self) -> str:
         n, _, k = self.strategy_counts
+        texts: dict[int, str] = {}
         return stable_json(
             {
                 "strategy_counts": list(self.strategy_counts),
                 "p3_actions": [self.p3_label(t) for t in range(k)],
-                "mu1": _tensor_json(self.mu1),
-                "mu2": _tensor_json(self.mu2),
-                "mu3": _tensor_json(self.mu3),
+                "mu1": _tensor_json(self.mu1, texts),
+                "mu2": _tensor_json(self.mu2, texts),
+                "mu3": _tensor_json(self.mu3, texts),
             }
         )
 
 
-def _tensor_json(tensor: tuple[tuple[tuple[Fraction, ...], ...], ...]) -> list:
-    return [[[format_rational(v) for v in cell] for cell in row] for row in tensor]
+def _tensor_json(tensor: tuple[tuple[tuple[Fraction, ...], ...], ...], texts: dict[int, str]) -> list:
+    """The tensor's entries as text, each distinct entry object formatted once.
+
+    `texts` maps `id(entry)` to its text; `reduce_graph` shares three
+    `Fraction`s across every entry.  The tensor keeps each entry alive, so
+    an id names one object for as long as `texts` is in use.
+    """
+
+    def text(value: Fraction) -> str:
+        key = id(value)
+        out = texts.get(key)
+        if out is None:
+            out = texts[key] = format_rational(value)
+        return out
+
+    return [[[text(v) for v in cell] for cell in row] for row in tensor]
 
 
 def reduce_graph(graph: Graph) -> ThreePlayerGame:

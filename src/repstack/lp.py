@@ -1,24 +1,36 @@
 """Exact rational linear programming and the leader-commitment LPs.
 
 The simplex solver is integer from reading the program to building its
-answer.  `simplex_solve` is its `Fraction` front end: it puts each
-coefficient straight into its standard-form column of an integer row,
-multiplied by one common denominator (the LCM of the denominators of the
-constraint block and of its right-hand sides), and builds the answer.  The
-only `Fraction` arithmetic before the answer shifts the right-hand sides by
-the nonzero lower bounds.  `_two_phase` is the one integer core behind it:
-phase 1, the artificial drive-out with redundant-row dropping, and phase 2,
-each pivot fraction-free (Bareiss), so no pivot computes a gcd.  Bland's
+answer.  `simplex_solve` is its `Fraction` front end for user programs: it
+puts each coefficient straight into its standard-form column of an integer
+row, multiplied by one common denominator (the LCM of the denominators of
+the constraint block and of its right-hand sides), and builds the answer.
+The only `Fraction` arithmetic before the answer shifts the right-hand sides
+by the nonzero lower bounds.  `_two_phase` is the one integer core behind
+it: phase 1, the artificial drive-out with redundant-row dropping, and phase
+2, each pivot fraction-free (Bareiss), so no pivot computes a gcd.  Bland's
 anti-cycling pivot rule makes it terminate on every input and return the
 same optimal vertex for the same program every time.  On top of it sit the
 two game LPs: the zero-sum threat computation, whose certificate
 max_j x*.M2 e_j == V is checked in integers, and the commitment LP that
 bounds what any leader strategy can extract from a best-responding follower.
 
-The commitment LP builds no `LinearProgram`: its integer rows come straight
-from the game's integer view (granularity * M2, the threat value and
-granularity * M1) and go through `_two_phase`, which takes the same pivots
-to the same vertex as `simplex_solve` on the same program.
+The core's tableau is compact (a "dictionary"): each row holds only the
+nonbasic columns, in increasing variable index, and the right-hand side.
+The basic columns of the full tableau are unit vectors times the
+denominator, so they carry nothing a pivot rule reads.  A pivot swaps the
+entering and leaving variables: the entering column's position takes the
+leaving variable's column (the sign-adjusted denominator in the pivot row,
+the negated old entering entries elsewhere), which then moves to its sorted
+place.  Every entering, ratio, tie-break and drive-out choice reads the
+same numbers as on the full tableau and takes the same pivot.  The
+artificials are the variables after the real ones: they start basic, so
+they have no column until they leave, and phase 2 keeps a prefix.
+
+No game LP builds a `LinearProgram`.  The commitment LP's integer rows come
+straight from the game's integer view (granularity * M2, the threat value
+and granularity * M1) and go through `_two_phase`, which takes the same
+pivots to the same vertex as `simplex_solve` on the same program.
 
 The threat LP has a fast path that answers with the same vertex.  Its
 integer tableau is written out from granularity * M2 already in a start
@@ -27,12 +39,14 @@ optimized with Dantzig's entering rule.  The answer is used only when
 every nonbasic reduced cost at the optimum is strictly positive (bar the
 twin of the free value's basic half): then the optimum is unique, so it is
 the vertex that Bland's rule reaches too.  Otherwise, or when Dantzig's rule
-runs into a long degenerate run, the threat LP goes through `simplex_solve`
-as a `LinearProgram`.
+runs into a long degenerate run, the threat LP's standard-form integer rows
+are written out from granularity * M2 and go through `_two_phase`, which
+pivots them as `simplex_solve` would `_threat_program`.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -122,19 +136,32 @@ class LPSolution:
 
 
 def _pivot(
-    tableau: list[list[int]], pivot_row: int, pivot_col: int, denominator: int
+    tableau: list[list[int]],
+    basis: list[int],
+    nonbasic: list[int],
+    pivot_row: int,
+    pivot_col: int,
+    denominator: int,
 ) -> int:
     """Integer-preserving (Bareiss) pivot; returns the new common denominator.
 
-    The tableau holds `denominator` times the true rational tableau.  Every
-    other row becomes (p*row - row[e]*pivot_row) / denominator, where p is the
-    pivot, and the division is exact by Sylvester's identity.  A negative
-    pivot (possible when driving out artificials) first negates the pivot
-    row, which negates every row of the result and keeps the denominator
-    positive, so signs in the tableau are the true tableau's signs.
+    The tableau holds `denominator` times the true rational tableau over the
+    nonbasic columns, listed by variable in `nonbasic` in increasing order,
+    and the right-hand side.  Column `pivot_col` enters the basis in place of
+    `basis[pivot_row - 1]`.  Every other row becomes
+    (p*row - row[e]*pivot_row) / denominator, where p is the pivot, and the
+    division is exact by Sylvester's identity.  A negative pivot (possible
+    when driving out artificials) first negates the pivot row, which negates
+    every row of the result and keeps the denominator positive, so signs in
+    the tableau are the true tableau's signs.  The entering column's position
+    then holds the leaving variable's column: sign*denominator in the pivot
+    row and -sign*row[e] elsewhere, the entries that a unit column reaches in
+    the full tableau.  That column moves to its sorted position.
     """
     row = tableau[pivot_row]
+    sign = 1
     if row[pivot_col] < 0:
+        sign = -1
         row = tableau[pivot_row] = [-v for v in row]
     p = row[pivot_col]
     for i, other in enumerate(tableau):
@@ -142,18 +169,32 @@ def _pivot(
             continue
         coeff = other[pivot_col]
         if coeff:
-            tableau[i] = [(p * a - coeff * b) // denominator for a, b in zip(other, row)]
+            other = tableau[i] = [(p * a - coeff * b) // denominator for a, b in zip(other, row)]
+            other[pivot_col] = -sign * coeff
         elif p != denominator:
             tableau[i] = [p * a // denominator for a in other]
+    row[pivot_col] = sign * denominator
+    leaving = basis[pivot_row - 1]
+    basis[pivot_row - 1] = nonbasic.pop(pivot_col)
+    to = bisect.bisect(nonbasic, leaving)
+    nonbasic.insert(to, leaving)
+    if to != pivot_col:
+        for row in tableau:
+            row.insert(to, row.pop(pivot_col))
     return p
 
 
 def _optimize(
-    tableau: list[list[int]], basis: list[int], n_cols: int, denominator: int, dantzig: bool = False
+    tableau: list[list[int]],
+    basis: list[int],
+    nonbasic: list[int],
+    denominator: int,
+    dantzig: bool = False,
 ) -> tuple[LPStatus | None, int, int]:
     """Run simplex iterations on a feasible tableau until optimal or unbounded.
 
-    Row 0 holds reduced costs for maximization (entering while any is < 0).
+    Row 0 holds reduced costs for maximization (entering while any is < 0);
+    a basic column's is 0, so the nonbasic columns are all there is to read.
     Bland's rule enters the lowest-index eligible column; with `dantzig` the
     most negative reduced cost enters, lowest index on a tie.  Either way the
     leaving row is the minimum-ratio row with the lowest basis variable index.
@@ -168,11 +209,11 @@ def _optimize(
     while True:
         costs = tableau[0]
         if dantzig:
-            lowest = min(costs[:n_cols])
+            lowest = min(costs[:-1])
             entering = costs.index(lowest) if lowest < 0 else -1
         else:
             entering = -1
-            for j in range(n_cols):
+            for j in range(len(costs) - 1):
                 if costs[j] < 0:
                     entering = j
                     break
@@ -197,20 +238,24 @@ def _optimize(
             degenerate = degenerate + 1 if tableau[leaving][-1] == 0 else 0
             if degenerate > MAX_DEGENERATE_RUN:
                 return None, denominator, pivots
-        denominator = _pivot(tableau, leaving, entering, denominator)
-        basis[leaving - 1] = entering
+        denominator = _pivot(tableau, basis, nonbasic, leaving, entering, denominator)
         pivots += 1
 
 
 def _rebuild_cost_row(
-    tableau: list[list[int]], basis: list[int], costs: Sequence[int], denominator: int
+    tableau: list[list[int]],
+    basis: list[int],
+    nonbasic: list[int],
+    costs: Sequence[int],
+    denominator: int,
 ) -> None:
     """Set row 0 to denominator * (c_B B^-1 A - c) and the scaled basic objective.
 
-    `costs` are integers over the tableau's columns; the constraint rows
-    already hold denominator * B^-1 A, so the sum needs no division.
+    `costs` are integers per variable; the constraint rows already hold
+    denominator * B^-1 A over the nonbasic columns, so the sum needs no
+    division.
     """
-    row0 = [-denominator * c for c in costs] + [0]
+    row0 = [-denominator * costs[var] for var in nonbasic] + [0]
     for i, var in enumerate(basis, start=1):
         cb = costs[var]
         if cb:
@@ -238,27 +283,25 @@ def _two_phase(
 
     Each row holds a constraint over the real columns, right-hand side last;
     `costs` are the phase-2 costs to maximize.  A row with a negative
-    right-hand side is negated, and each row gets an identity artificial
-    column.  Leftover artificials are driven out on the first real column
-    with a nonzero entry; a row with none is redundant and dropped.  Returns
-    the status, the final tableau, its basis and denominator, and the
-    (phase 1, phase 2) pivot counts.  Scaling every row by one positive
-    integer, or the costs by another, keeps every sign and ratio order that
-    Bland's rule reads (the artificials scale with the rows), so it takes the
-    same pivots to the same vertex.
+    right-hand side is negated, and each row starts with its own artificial
+    variable basic (variables n_real + i), so the start tableau is the rows
+    themselves and its phase-1 cost row is minus their sum.  Leftover
+    artificials are driven out on the first real column with a nonzero
+    entry; a row with none is redundant and dropped.  The artificials sort
+    after the real variables, so phase 2 keeps a prefix of the columns.
+    Returns the status, the final tableau (over the nonbasic columns in
+    increasing order), its basis and denominator, and the (phase 1, phase 2)
+    pivot counts.  Scaling every row by one positive integer, or the costs by
+    another, keeps every sign and ratio order that Bland's rule reads (the
+    artificials scale with the rows), so it takes the same pivots to the same
+    vertex.
     """
     n_real, m = len(costs), len(rows)
-    tableau: list[list[int]] = [[]]
-    basis: list[int] = []
-    for i, row in enumerate(rows):
-        if row[-1] < 0:
-            row = [-v for v in row]
-        art = [0] * m
-        art[i] = 1
-        tableau.append(row[:-1] + art + row[-1:])
-        basis.append(n_real + i)
-    _rebuild_cost_row(tableau, basis, [0] * n_real + [-1] * m, 1)
-    status, denominator, phase1_pivots = _optimize(tableau, basis, n_real + m, 1)
+    tableau = [[]] + [[-v for v in row] if row[-1] < 0 else list(row) for row in rows]
+    basis = list(range(n_real, n_real + m))
+    nonbasic = list(range(n_real))
+    _rebuild_cost_row(tableau, basis, nonbasic, [0] * n_real + [-1] * m, 1)
+    status, denominator, phase1_pivots = _optimize(tableau, basis, nonbasic, 1)
     assert status is LPStatus.OPTIMAL  # phase 1 objective is bounded above by 0
     if tableau[0][-1] != 0:
         return LPStatus.INFEASIBLE, tableau, basis, denominator, (phase1_pivots, 0)
@@ -266,22 +309,24 @@ def _two_phase(
     drop_rows: list[int] = []
     for i in range(m):
         if basis[i] >= n_real:
+            row = tableau[i + 1]
             pivot_col = next(
-                (j for j in range(n_real) if tableau[i + 1][j] != 0), None
+                (j for j in range(bisect.bisect_left(nonbasic, n_real)) if row[j] != 0), None
             )
             if pivot_col is None:
                 drop_rows.append(i + 1)
             else:
-                denominator = _pivot(tableau, i + 1, pivot_col, denominator)
-                basis[i] = pivot_col
+                denominator = _pivot(tableau, basis, nonbasic, i + 1, pivot_col, denominator)
                 phase1_pivots += 1
     for i in sorted(drop_rows, reverse=True):
         del tableau[i]
         del basis[i - 1]
 
-    tableau = [row[:n_real] + [row[-1]] for row in tableau]
-    _rebuild_cost_row(tableau, basis, costs, denominator)
-    status, denominator, phase2_pivots = _optimize(tableau, basis, n_real, denominator)
+    reals = bisect.bisect_left(nonbasic, n_real)
+    tableau = [row[:reals] + row[-1:] for row in tableau]
+    del nonbasic[reals:]
+    _rebuild_cost_row(tableau, basis, nonbasic, costs, denominator)
+    status, denominator, phase2_pivots = _optimize(tableau, basis, nonbasic, denominator)
     return status, tableau, basis, denominator, (phase1_pivots, phase2_pivots)
 
 
@@ -376,15 +421,9 @@ def threat(game: BimatrixGame) -> ThreatResult:
 
     The answer is the vertex that `simplex_solve` picks on `_threat_program`.
     `_certified_threat` reaches it from a feasible start when the optimum is
-    unique; otherwise the program goes through `simplex_solve`.
+    unique; otherwise `_bland_threat` pivots the program's integer rows.
     """
-    certified = _certified_threat(game)
-    if certified is None:
-        solution = simplex_solve(_threat_program(game))
-        assert solution.status is LPStatus.OPTIMAL and solution.values is not None
-        weights, value = solution.values[: game.rows], solution.values[game.rows]
-    else:
-        weights, value = certified
+    weights, value = _certified_threat(game) or _bland_threat(game)
     strategy = MixedStrategy(tuple(weights))
     # Certificate in integers: max_j x*.M2 e_j == value.
     replies, denominator = reply_values(game, strategy)
@@ -394,7 +433,11 @@ def threat(game: BimatrixGame) -> ThreatResult:
 
 
 def _threat_program(game: BimatrixGame) -> LinearProgram:
-    """The threat LP over x_1..x_rows and a free v."""
+    """The threat LP over x_1..x_rows and a free v.
+
+    Only the tests build it: it is the reference whose Bland vertex
+    `threat` must return.
+    """
     rows, cols = game.rows, game.cols
     # Variables: x_1..x_rows, v.  Maximize -v subject to
     # v - sum_i x_i M2[i][j] >= 0 for every column j, sum_i x_i = 1.
@@ -407,6 +450,34 @@ def _threat_program(game: BimatrixGame) -> LinearProgram:
     b_eq = (ONE,)
     lower = tuple([ZERO] * rows + [None])
     return LinearProgram(objective, a_eq, b_eq, a_ge, b_ge, lower)
+
+
+def _bland_threat(game: BimatrixGame) -> tuple[list[Fraction], Fraction]:
+    """(x*, v) of the threat LP by two-phase Bland's rule.
+
+    The integer rows are `_threat_program`'s standard form over the columns
+    x_1..x_rows, v+, v-, s_1..s_cols, written out from A*M2 with A the
+    granularity: row 1 is A*sum_i x_i = A and row 1 + j is
+    -x.(A*M2) e_j + A*v+ - A*v- - A*s_j = 0.  `simplex_solve` scales the
+    same rows by the LCM of M2's denominators, which divides A, so
+    `_two_phase` takes the same pivots to the same vertex.
+    """
+    rows, cols = game.rows, game.cols
+    scale = game.granularity
+    s = rows + 2  # s_1 is column s
+    program = [[scale] * rows + [0] * (cols + 2) + [scale]]
+    for j in range(cols):
+        row = [-r[j] for r in game.scaled_m2] + [scale, -scale] + [0] * (cols + 1)
+        row[s + j] = -scale
+        program.append(row)
+    costs = [0] * rows + [-1, 1] + [0] * cols
+    status, tableau, basis, denominator, _ = _two_phase(program, costs)
+    assert status is LPStatus.OPTIMAL  # x = e_1, v = max_j M2[1][j] is feasible
+    values = [0] * (s + cols)
+    for var, row in zip(basis, tableau[1:]):
+        values[var] = row[-1]
+    weights = [Fraction(values[i], denominator) for i in range(rows)]
+    return weights, Fraction(values[rows] - values[rows + 1], denominator)
 
 
 def _certified_threat(game: BimatrixGame) -> tuple[list[Fraction], Fraction] | None:
@@ -428,18 +499,16 @@ def _certified_threat(game: BimatrixGame) -> tuple[list[Fraction], Fraction] | N
     """
     rows, cols = game.rows, game.cols
     w = rows  # w+ is column w, w- is column w + 1
-    n = rows + 2 + cols
-    tableau, basis = _threat_start(game)
-    status, denominator, _ = _optimize(tableau, basis, n, 1, dantzig=True)
+    tableau, basis, nonbasic = _threat_start(game)
+    status, denominator, _ = _optimize(tableau, basis, nonbasic, 1, dantzig=True)
     if status is not LPStatus.OPTIMAL:
         return None
     # The twin of w's basic half; if neither half is basic, the check below
     # fails on w-, whose reduced cost is then 0 like w+'s.
     twin = w + 1 if w in basis else w
-    costs, basic = tableau[0], set(basis)
-    if any(costs[j] <= 0 for j in range(n) if j != twin and j not in basic):
+    if any(cost <= 0 for var, cost in zip(nonbasic, tableau[0]) if var != twin):
         return None
-    values = [0] * n
+    values = [0] * (rows + 2 + cols)
     for var, row in zip(basis, tableau[1:]):
         values[var] = row[-1]
     weights = [Fraction(values[i], denominator) for i in range(rows)]
@@ -447,43 +516,41 @@ def _certified_threat(game: BimatrixGame) -> tuple[list[Fraction], Fraction] | N
     return weights, value
 
 
-def _threat_start(game: BimatrixGame) -> tuple[list[list[int]], list[int]]:
-    """`_certified_threat`'s tableau in its start basis, and that basis.
+def _threat_start(game: BimatrixGame) -> tuple[list[list[int]], list[int], list[int]]:
+    """`_certified_threat`'s tableau in its start basis: (tableau, basis, nonbasic).
 
     The start basis has determinant +-1, so the tableau has denominator 1.
-    With S = A*M2, t = j* and sigma = +1 when w+ is basic (-1 for w-),
-    substituting x_1 = 1 - sum_{i>1} x_i into every row and w from row t
+    With S = A*M2, t = j* and sigma = +1 when w+ is basic (-1 for w-), the
+    nonbasic columns are x_2..x_rows, the twin of w's basic half and s_t.
+    Substituting x_1 = 1 - sum_{i>1} x_i into every row and w from row t
     into the others gives, over the columns x_i:
     - row 0: S[i][t] - S[1][t], s_t at 1, right-hand side -S[1][t];
-    - row t: sigma*(S[1][t] - S[i][t]), w+ at sigma, w- and s_t at -sigma,
+    - row 1: 1, right-hand side 1;
+    - row t: sigma*(S[1][t] - S[i][t]), the twin at -1, s_t at -sigma,
       right-hand side sigma*S[1][t];
-    - row j != t: S[i][j] - S[1][j] - S[i][t] + S[1][t], s_t at -1, s_j at 1,
+    - row j != t: S[i][j] - S[1][j] - S[i][t] + S[1][t], s_t at -1,
       right-hand side S[1][t] - S[1][j].
+    The twin's entry is 0 in every other row.
     """
     rows, cols = game.rows, game.cols
     scaled = game.scaled_m2
     first = scaled[0]
     top = first.index(max(first))
     sign = 1 if first[top] >= 0 else -1
-    shift = [row[top] - first[top] for row in scaled]
-    s = rows + 2  # s_1 is column s
-    tableau = [
-        shift + [0] * (cols + 2) + [-first[top]],
-        [1] * rows + [0] * (cols + 2) + [1],
-    ]
-    tableau[0][s + top] = 1
+    shift = [row[top] - first[top] for row in scaled[1:]]
+    tableau = [shift + [0, 1, -first[top]], [1] * (rows - 1) + [0, 0, 1]]
     for j in range(cols):
         if j == top:
-            row = [-sign * d for d in shift] + [sign, -sign] + [0] * cols + [sign * first[top]]
-            row[s + top] = -sign
+            row = [-sign * d for d in shift] + [-1, -sign, sign * first[top]]
         else:
-            row = [r[j] - first[j] - d for r, d in zip(scaled, shift)] + [0] * (cols + 2)
-            row.append(first[top] - first[j])
-            row[s + top], row[s + j] = -1, 1
+            row = [r[j] - first[j] - d for r, d in zip(scaled[1:], shift)]
+            row += [0, -1, first[top] - first[j]]
         tableau.append(row)
+    s = rows + 2  # s_1 is column s
     basis = [0] + [s + j for j in range(cols)]
     basis[1 + top] = rows if sign > 0 else rows + 1
-    return tableau, basis
+    nonbasic = [*range(1, rows), rows + 1 if sign > 0 else rows, s + top]
+    return tableau, basis, nonbasic
 
 
 def reply_values(game: BimatrixGame, strategy: MixedStrategy) -> tuple[list[int], int]:

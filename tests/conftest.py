@@ -21,9 +21,13 @@ fold.  `per_round_simulate` is the simulator as it was before it played pure
 stretches a run at a time: one round and one `step` per player at a time.
 `commitment_program` is the commitment LP as `stackelberg_lp` built it
 before it pivoted the game's integer view directly: a `LinearProgram` for
-`simplex_solve`.  `installed_threat_start` is the certified threat's start
-tableau as it was built before it was written out: the raw integer tableau
-plus one Bareiss pivot per basic variable.  `fraction_reduce_graph` is the
+`simplex_solve`.  `full_two_phase` (with `_full_pivot`, `_full_optimize`
+and `_full_rebuild_cost_row`) is the integer two-phase core as it was before
+it held only the nonbasic columns, copied verbatim: a full tableau with one
+column per variable, artificials included, whose basic columns are unit
+vectors.  `installed_threat_start` is the certified threat's start tableau as
+it was built before it was written out: the raw full integer tableau plus one
+`_full_pivot` per basic variable.  `fraction_reduce_graph` is the
 reduction as it was built before it shared its constants: fresh `Fraction`s
 for every entry and fresh cells for every vertex pair.
 """
@@ -34,6 +38,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
@@ -57,7 +62,7 @@ from repstack.hardness import (
     ThreePlayerGame,
     _grid_points,
 )
-from repstack.lp import ONE, LinearProgram, LPSolution, LPStatus, _pivot, stackelberg_lp
+from repstack.lp import MAX_DEGENERATE_RUN, ONE, LinearProgram, LPSolution, LPStatus, stackelberg_lp
 from repstack.oracle import (
     _STREAM_FOLLOWER,
     _STREAM_LEADER,
@@ -475,6 +480,157 @@ def fraction_simplex_solve(lp: LinearProgram) -> LPSolution:
     return LPSolution(LPStatus.OPTIMAL, tuple(values), objective_value, pivots)
 
 
+def _full_pivot(
+    tableau: list[list[int]], pivot_row: int, pivot_col: int, denominator: int
+) -> int:
+    """Integer-preserving (Bareiss) pivot; returns the new common denominator.
+
+    The tableau holds `denominator` times the true rational tableau.  Every
+    other row becomes (p*row - row[e]*pivot_row) / denominator, where p is the
+    pivot, and the division is exact by Sylvester's identity.  A negative
+    pivot (possible when driving out artificials) first negates the pivot
+    row, which negates every row of the result and keeps the denominator
+    positive, so signs in the tableau are the true tableau's signs.
+    """
+    row = tableau[pivot_row]
+    if row[pivot_col] < 0:
+        row = tableau[pivot_row] = [-v for v in row]
+    p = row[pivot_col]
+    for i, other in enumerate(tableau):
+        if i == pivot_row:
+            continue
+        coeff = other[pivot_col]
+        if coeff:
+            tableau[i] = [(p * a - coeff * b) // denominator for a, b in zip(other, row)]
+        elif p != denominator:
+            tableau[i] = [p * a // denominator for a in other]
+    return p
+
+
+def _full_optimize(
+    tableau: list[list[int]], basis: list[int], n_cols: int, denominator: int, dantzig: bool = False
+) -> tuple[LPStatus | None, int, int]:
+    """Run simplex iterations on a feasible tableau until optimal or unbounded.
+
+    Row 0 holds reduced costs for maximization (entering while any is < 0).
+    Bland's rule enters the lowest-index eligible column; with `dantzig` the
+    most negative reduced cost enters, lowest index on a tie.  Either way the
+    leaving row is the minimum-ratio row with the lowest basis variable index.
+    Ratios share the tableau's denominator, so they are compared by
+    cross-multiplication.  Bland's rule terminates on every program.
+    Dantzig's can cycle, so it gives up (status None) once more than
+    `MAX_DEGENERATE_RUN` pivots in a row leave the objective unchanged.
+    Returns the status, the final denominator and the number of pivots.
+    """
+    m = len(tableau) - 1
+    pivots = degenerate = 0
+    while True:
+        costs = tableau[0]
+        if dantzig:
+            lowest = min(costs[:n_cols])
+            entering = costs.index(lowest) if lowest < 0 else -1
+        else:
+            entering = -1
+            for j in range(n_cols):
+                if costs[j] < 0:
+                    entering = j
+                    break
+        if entering < 0:
+            return LPStatus.OPTIMAL, denominator, pivots
+        leaving = -1
+        for i in range(1, m + 1):
+            coeff = tableau[i][entering]
+            if coeff > 0:
+                if leaving < 0:
+                    leaving = i
+                    continue
+                ratio = tableau[i][-1] * tableau[leaving][entering]
+                best_ratio = tableau[leaving][-1] * coeff
+                if ratio < best_ratio or (
+                    ratio == best_ratio and basis[i - 1] < basis[leaving - 1]
+                ):
+                    leaving = i
+        if leaving < 0:
+            return LPStatus.UNBOUNDED, denominator, pivots
+        if dantzig:
+            degenerate = degenerate + 1 if tableau[leaving][-1] == 0 else 0
+            if degenerate > MAX_DEGENERATE_RUN:
+                return None, denominator, pivots
+        denominator = _full_pivot(tableau, leaving, entering, denominator)
+        basis[leaving - 1] = entering
+        pivots += 1
+
+
+def _full_rebuild_cost_row(
+    tableau: list[list[int]], basis: list[int], costs: Sequence[int], denominator: int
+) -> None:
+    """Set row 0 to denominator * (c_B B^-1 A - c) and the scaled basic objective.
+
+    `costs` are integers over the tableau's columns; the constraint rows
+    already hold denominator * B^-1 A, so the sum needs no division.
+    """
+    row0 = [-denominator * c for c in costs] + [0]
+    for i, var in enumerate(basis, start=1):
+        cb = costs[var]
+        if cb:
+            row0 = [a + cb * b for a, b in zip(row0, tableau[i])]
+    tableau[0] = row0
+
+
+def full_two_phase(
+    rows: list[list[int]], costs: list[int]
+) -> tuple[LPStatus, list[list[int]], list[int], int, tuple[int, int]]:
+    """Two-phase Bland's-rule simplex over integer constraint rows.
+
+    Each row holds a constraint over the real columns, right-hand side last;
+    `costs` are the phase-2 costs to maximize.  A row with a negative
+    right-hand side is negated, and each row gets an identity artificial
+    column.  Leftover artificials are driven out on the first real column
+    with a nonzero entry; a row with none is redundant and dropped.  Returns
+    the status, the final tableau, its basis and denominator, and the
+    (phase 1, phase 2) pivot counts.  Scaling every row by one positive
+    integer, or the costs by another, keeps every sign and ratio order that
+    Bland's rule reads (the artificials scale with the rows), so it takes the
+    same pivots to the same vertex.
+    """
+    n_real, m = len(costs), len(rows)
+    tableau: list[list[int]] = [[]]
+    basis: list[int] = []
+    for i, row in enumerate(rows):
+        if row[-1] < 0:
+            row = [-v for v in row]
+        art = [0] * m
+        art[i] = 1
+        tableau.append(row[:-1] + art + row[-1:])
+        basis.append(n_real + i)
+    _full_rebuild_cost_row(tableau, basis, [0] * n_real + [-1] * m, 1)
+    status, denominator, phase1_pivots = _full_optimize(tableau, basis, n_real + m, 1)
+    assert status is LPStatus.OPTIMAL  # phase 1 objective is bounded above by 0
+    if tableau[0][-1] != 0:
+        return LPStatus.INFEASIBLE, tableau, basis, denominator, (phase1_pivots, 0)
+
+    drop_rows: list[int] = []
+    for i in range(m):
+        if basis[i] >= n_real:
+            pivot_col = next(
+                (j for j in range(n_real) if tableau[i + 1][j] != 0), None
+            )
+            if pivot_col is None:
+                drop_rows.append(i + 1)
+            else:
+                denominator = _full_pivot(tableau, i + 1, pivot_col, denominator)
+                basis[i] = pivot_col
+                phase1_pivots += 1
+    for i in sorted(drop_rows, reverse=True):
+        del tableau[i]
+        del basis[i - 1]
+
+    tableau = [row[:n_real] + [row[-1]] for row in tableau]
+    _full_rebuild_cost_row(tableau, basis, costs, denominator)
+    status, denominator, phase2_pivots = _full_optimize(tableau, basis, n_real, denominator)
+    return status, tableau, basis, denominator, (phase1_pivots, phase2_pivots)
+
+
 def commitment_program(game: BimatrixGame, value: Fraction) -> LinearProgram:
     """The commitment LP over one weight per pair, row-major, with threat value `value`."""
     # Variables: the weight of each pair, in row-major order.
@@ -487,8 +643,8 @@ def commitment_program(game: BimatrixGame, value: Fraction) -> LinearProgram:
 
 
 def installed_threat_start(game: BimatrixGame) -> tuple[list[list[int]], list[int], int]:
-    """The certified threat's raw tableau with its start basis installed by
-    pivoting: (tableau, basis, denominator)."""
+    """The certified threat's raw full tableau with its start basis installed
+    by pivoting: (tableau, basis, denominator)."""
     rows, cols = game.rows, game.cols
     scaled = game.scaled_m2
     w = rows  # w+ is column w, w- is column w + 1
@@ -506,7 +662,7 @@ def installed_threat_start(game: BimatrixGame) -> tuple[list[list[int]], list[in
     basis[1 + top] = w if first[top] >= 0 else w + 1
     denominator = 1
     for i, var in enumerate(basis, start=1):
-        denominator = _pivot(tableau, i, var, denominator)
+        denominator = _full_pivot(tableau, i, var, denominator)
     return tableau, basis, denominator
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -285,6 +287,32 @@ def test_reduce_command(tmp_path, capsys) -> None:
     payload = json.loads(out_path.read_text())
     assert payload["strategy_counts"] == [4, 4, 9]
     assert payload["p3_actions"][0] == "t0"
+
+
+def _random_graph_text(n: int, seed: int) -> str:
+    rng = random.Random(seed)
+    edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.4]
+    return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+@pytest.mark.parametrize("graph", ["cycle4.txt", "k4.txt", "random-8"])
+def test_reduce_json_prints_the_game_json(graph: str, tmp_path, capsys) -> None:
+    """`reduce --json` prints `to_json()` byte for byte, then a newline, and
+    every tensor entry is that entry's own `format_rational` text."""
+    if graph == "random-8":
+        path = tmp_path / "g8.txt"
+        path.write_text(_random_graph_text(8, seed=88))
+    else:
+        path = Path(__file__).resolve().parent.parent / "data" / graph
+    game3 = repstack.reduce_graph(repstack.graph_from_text(path.read_text()))
+    code, out = run(capsys, "reduce", str(path), "--json")
+    assert code == 0
+    assert out == game3.to_json() + "\n"
+    payload = json.loads(out)
+    for name in ("mu1", "mu2", "mu3"):
+        tensor = getattr(game3, name)
+        texts = [[[repstack.format_rational(v) for v in cell] for cell in row] for row in tensor]
+        assert payload[name] == texts, name
 
 
 @pytest.mark.parametrize("command", ["build", "simulate", "reduce"])

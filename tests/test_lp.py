@@ -760,7 +760,7 @@ def test_threat_certificate_rejects_non_optimal_strategy(name: str, pd_game, mon
     if name == "mixed-denominators":
         assert (optimum.value, optimum.strategy.weights) == (F(3, 20), (F(1, 2), F(1, 2)))
     assert lp._certified_threat(game) is not None  # both paths below are live
-    solve = lp.simplex_solve
+    bland = lp._bland_threat
     alternatives = [
         tuple(F(int(i == k)) for i in range(game.rows)) for k in range(game.rows)
     ] + [(F(1, 2) + F(1, 7), F(1, 2) - F(1, 7))]
@@ -768,14 +768,14 @@ def test_threat_certificate_rejects_non_optimal_strategy(name: str, pd_game, mon
     assert alternatives
     for weights in alternatives:
 
-        def non_optimal(program: LinearProgram):
-            solution = solve(program)
-            return dataclasses.replace(solution, values=weights + solution.values[game.rows :])
+        def non_optimal(game):
+            _, value = bland(game)
+            return list(weights), value
 
-        # The fallback: `simplex_solve` returns the non-optimal point.
+        # The fallback: `_bland_threat` returns the non-optimal point.
         with monkeypatch.context() as patch:
             patch.setattr(lp, "_certified_threat", lambda game: None)
-            patch.setattr(lp, "simplex_solve", non_optimal)
+            patch.setattr(lp, "_bland_threat", non_optimal)
             with pytest.raises(RuntimeError, match="inconsistent certificate"):
                 threat(game)
         # The certified path returns it.
@@ -958,9 +958,10 @@ def _negative_first_row(game):
 
 
 def test_threat_start_is_the_installed_tableau() -> None:
-    """`_threat_start` writes out, entry for entry, the tableau that the raw
-    rows reach by pivoting in the start basis, with denominator 1; w- is
-    basic when M2's first row has a negative maximum."""
+    """`_threat_start` writes out, entry for entry, the full tableau that the
+    raw rows reach by pivoting in the start basis, with denominator 1,
+    restricted to its nonbasic columns; w- is basic when M2's first row has a
+    negative maximum."""
     from conftest import installed_threat_start
     from repstack.lp import _threat_start
 
@@ -974,6 +975,128 @@ def test_threat_start_is_the_installed_tableau() -> None:
                 game = _negative_first_row(game)
             tableau, basis, denominator = installed_threat_start(game)
             assert denominator == 1
-            assert _threat_start(game) == (tableau, basis), game
+            nonbasic = [j for j in range(len(tableau[0]) - 1) if j not in basis]
+            projected = [[row[j] for j in nonbasic] + row[-1:] for row in tableau]
+            assert _threat_start(game) == (projected, basis, nonbasic), game
             through_w_minus += basis.count(rows + 1)
     assert through_w_minus >= 20, through_w_minus  # 30 of 96 when this test was written
+
+
+def _core_inputs(monkeypatch, programs) -> list[tuple[list[list[int]], list[int]]]:
+    """The integer rows and costs that `simplex_solve` hands `_two_phase`."""
+    from repstack import lp
+
+    inputs = []
+    two_phase = lp._two_phase
+
+    def recording(rows, costs):
+        inputs.append(([list(row) for row in rows], list(costs)))
+        return two_phase(rows, costs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_two_phase", recording)
+        for program in programs:
+            simplex_solve(program)
+    return inputs
+
+
+def test_compact_core_matches_full_tableau(monkeypatch) -> None:
+    """`_two_phase` takes the pivots of the full-tableau core on the literal,
+    random, stress, shift-and-split and game programs: the same status, pivot
+    counts, basis, denominator and right-hand sides, and its tableau is the
+    full one restricted to the nonbasic columns in increasing order.  The
+    drive-out, its negative pivots and redundant-row dropping all run."""
+    from conftest import full_two_phase
+    from repstack import lp
+
+    programs = _recorded_programs(monkeypatch, lambda: [t() for t in LITERAL_PROGRAM_TESTS])
+    rng = random.Random(6000)
+    programs += [_random_program(rng) for _ in range(400)]
+    for kind in ["shifted-rhs", "int-only", "free-fraction-objective", "objective-constant"]:
+        rng = random.Random(f"stress:{kind}")
+        programs += [_stress_program(rng, kind) for _ in range(250)]
+    programs += [program for program, _, _ in SHIFT_AND_SPLIT_PROGRAMS.values()]
+    programs += _game_programs(monkeypatch)
+
+    seen = dict.fromkeys(["drive-out pivot", "negative pivot", "dropped row"], 0)
+    optimized, pivot, optimize = [], lp._pivot, lp._optimize
+
+    def counted_optimize(*args, **kwargs):
+        result = optimize(*args, **kwargs)
+        optimized.append(result[2])
+        return result
+
+    def counted_pivot(tableau, basis, nonbasic, pivot_row, pivot_col, denominator):
+        seen["negative pivot"] += tableau[pivot_row][pivot_col] < 0
+        return pivot(tableau, basis, nonbasic, pivot_row, pivot_col, denominator)
+
+    inputs = _core_inputs(monkeypatch, programs)
+    monkeypatch.setattr(lp, "_optimize", counted_optimize)
+    monkeypatch.setattr(lp, "_pivot", counted_pivot)
+    for rows, costs in inputs:
+        optimized.clear()
+        status, tableau, basis, denominator, pivots = lp._two_phase(rows, costs)
+        reference = full_two_phase(rows, costs)
+        assert (status, basis, denominator, pivots) == (
+            reference[0], reference[2], reference[3], reference[4]
+        ), (rows, costs)
+        full = reference[1]
+        nonbasic = [j for j in range(len(full[0]) - 1) if j not in basis]
+        assert tableau == [[row[j] for j in nonbasic] + row[-1:] for row in full], (rows, costs)
+        seen["drive-out pivot"] += pivots[0] - optimized[0]
+        seen["dropped row"] += status is not LPStatus.INFEASIBLE and len(basis) < len(rows)
+    # 26 drive-out pivots (all 26 negative) and 39 dropped rows when this
+    # test was written.
+    assert seen["drive-out pivot"] >= 13 and seen["negative pivot"] >= 13, seen
+    assert seen["dropped row"] >= 20, seen
+
+
+def test_bland_threat_pivots_the_threat_program(monkeypatch) -> None:
+    """`_bland_threat`'s integer rows are the rows `simplex_solve` builds for
+    `_threat_program`, times A/L (A the granularity, L the LCM of M2's
+    denominators), and `_two_phase` takes the same pivots from both to the
+    same basis and answer, on the 240 threat programs of
+    `test_threat_matches_bland_vertex` and on 40 games whose M1 adds
+    denominators that M2 lacks."""
+    from repstack import lp
+    from repstack.lp import _bland_threat, _threat_program
+
+    calls = []
+    two_phase = lp._two_phase
+
+    def recording(rows, costs):
+        result = two_phase(rows, costs)
+        calls.append((rows, costs, result))
+        return result
+
+    rng = random.Random(8000)
+    targets = []
+    for granularity in (1, 2, 6, 60):
+        for draw in range(30):
+            rows, cols = _differential_shape(rng, draw)
+            game = _granular_game(rng, rows, cols, granularity, zero_sum=draw % 5 == 4)
+            targets += [game, _negated(game)]
+    # M1 in thirds and sevenths, M2 in halves and fifths, so that A > L.
+    for draw in range(40):
+        rows, cols = _differential_shape(rng, draw)
+        m1 = [[F(rng.randint(-3, 3), 3 if draw % 2 else 7) for _ in range(cols)] for _ in range(rows)]
+        m2 = [[F(rng.randint(-5, 5), rng.choice([2, 5])) / 5 for _ in range(cols)] for _ in range(rows)]
+        targets.append(validate_game(m1, m2))
+
+    monkeypatch.setattr(lp, "_two_phase", recording)
+    rescaled = 0
+    for target in targets:
+        weights, value = _bland_threat(target)
+        solution = simplex_solve(_threat_program(target))
+        (own_rows, own_costs, own), (lp_rows, lp_costs, reference) = calls
+        calls.clear()
+        lcm = math.lcm(*(v.denominator for row in target.m2 for v in row))
+        factor = target.granularity // lcm
+        assert own_rows == [[factor * v for v in row] for row in lp_rows], target
+        assert own_costs == lp_costs
+        assert own[0] is reference[0] is LPStatus.OPTIMAL
+        assert (own[2], own[4]) == (reference[2], reference[4]), target
+        n = target.rows
+        assert (weights, value) == (list(solution.values[:n]), solution.values[n]), target
+        rescaled += factor > 1
+    assert rescaled >= 20, rescaled  # 42 of 280 when this test was written
