@@ -2,15 +2,15 @@
 
 Draws are indexed, not sequential: draw k of stream s under seed z is a pure
 function of (z, s, k).  This keeps every randomized construction reproducible
-independent of iteration order, and lets exact samplers consume draws as
-rationals with denominator 2**64.
+independent of iteration order.  Exact samplers read each draw as an integer
+u in [0, 2**64) and compare it with integer thresholds
+(`core.draw_thresholds`), never as a rational.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from fractions import Fraction
 
 _SCALE = 1 << 64
 
@@ -32,10 +32,6 @@ class CounterRng:
         digest = self._prefix.copy()
         digest.update(str(counter).encode())
         return int.from_bytes(digest.digest(), "big")
-
-    def unit_fraction(self, counter: int) -> Fraction:
-        """An exact rational uniform on {0, 1/2^64, ..., (2^64-1)/2^64}."""
-        return Fraction(self.u64(counter), _SCALE)
 
     def unit_float(self, counter: int) -> float:
         return self.u64(counter) / _SCALE

@@ -37,7 +37,7 @@ MAX_C_EXPONENT = 1000
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -73,10 +73,6 @@ def _emit(args: argparse.Namespace, payload: dict, table_lines: list[str]) -> No
         os.close(devnull)
 
 
-def _strategy_text(strategy: core.MixedStrategy) -> str:
-    return "[" + ", ".join(format_rational(w) for w in strategy.weights) + "]"
-
-
 def cmd_threat(args: argparse.Namespace) -> int:
     game = _load_game(args.game)
     result = threat(game)
@@ -86,7 +82,7 @@ def cmd_threat(args: argparse.Namespace) -> int:
     }
     lines = [
         f"V = {format_rational(result.value)}",
-        f"x* = {_strategy_text(result.strategy)}",
+        f"x* = [{', '.join(payload['strategy'])}]",
     ]
     _emit(args, payload, lines)
     return EXIT_OK
@@ -106,11 +102,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "alpha": support,
     }
     lines = [f"OPT_LP = {format_rational(solution.value)}"]
-    lines.extend(
-        f"alpha({p.row},{p.col}) = {format_rational(w)}"
-        for p, w in solution.alpha.items()
-        if w > 0
-    )
+    lines.extend(f"alpha({pair}) = {weight}" for pair, weight in support.items())
     _emit(args, payload, lines)
     return EXIT_OK
 

@@ -8,6 +8,7 @@ threads; the operations are pure functions.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -66,6 +67,20 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
             raise RationalParseError(f"invalid rational {value!r}: denominator must be positive")
         return Fraction(num, den)
     raise RationalParseError(f"not a rational: {value!r}")
+
+
+def parse_integer_token(token: str) -> int:
+    """An integer written as an optional sign and ASCII digits, nothing else.
+
+    Bare `int` would also read other scripts' digits, `_` separators and
+    outer whitespace.
+    """
+    if re.fullmatch(r"[+-]?[0-9]+", token) is None:
+        raise InputError(f"invalid integer {token!r}")
+    try:
+        return int(token)
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise InputError(f"invalid integer {token!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -133,16 +148,31 @@ class MixedStrategy:
             self.__dict__["_support"] = support
         return support
 
-    def sample_index(self, u: Fraction) -> int:
-        """Map a uniform draw u in [0, 1) to a 1-based action, exactly."""
-        if not 0 <= u < 1:
-            raise InputError("uniform draw must lie in [0, 1)")
-        cumulative = Fraction(0)
-        for action, weight in enumerate(self.weights, start=1):
-            cumulative += weight
-            if u < cumulative:
-                return action
-        return len(self.weights)  # unreachable when weights sum to 1
+    @functools.cached_property
+    def _thresholds(self) -> list[int]:
+        # A cache, not a field: equality, hashing and repr ignore it.
+        return draw_thresholds(self.weights)
+
+    def sample(self, u: int) -> int:
+        """The 1-based action that the 64-bit draw u in [0, 2^64) picks."""
+        if not 0 <= u < 1 << 64:
+            raise InputError("draw must lie in [0, 2^64)")
+        return bisect.bisect_right(self._thresholds, u) + 1
+
+
+def draw_thresholds(weights: Sequence[Fraction]) -> list[int]:
+    """The integer draw rule: a draw u in [0, 2^64) picks the first i with u < thresholds[i].
+
+    With the weights over their common denominator N and cumulative
+    numerators C_i, u / 2^64 < C_i / N holds exactly when u is below
+    ceil(C_i * 2^64 / N).  A zero weight repeats the previous threshold, so
+    no draw picks it, and the last threshold is 2^64.
+    """
+    denominator = math.lcm(*(w.denominator for w in weights))
+    return [
+        -(-(cumulative << 64) // denominator)
+        for cumulative in itertools.accumulate(as_integers(weights, denominator))
+    ]
 
 
 @dataclass(frozen=True)
@@ -343,11 +373,21 @@ def game_to_json(game: BimatrixGame) -> str:
     )
 
 
-def game_from_json(text: str) -> BimatrixGame:
+def decode_json(text: str, what: str) -> object:
+    """`json.loads`, with every way it can fail an `InputError` naming the file.
+
+    Besides malformed text, that is an integer longer than
+    `sys.get_int_max_str_digits()` (`ValueError`) and nesting deeper than the
+    recursion limit (`RecursionError`).
+    """
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid game file: {exc}") from exc
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"invalid {what} file: {exc}") from exc
+
+
+def game_from_json(text: str) -> BimatrixGame:
+    data = decode_json(text, "game")
     if not isinstance(data, dict) or "M1" not in data or "M2" not in data:
         raise InputError('game file must be an object with "M1" and "M2" keys')
     return validate_game(data["M1"], data["M2"])
@@ -394,10 +434,7 @@ def parse_pairs(entries: list) -> tuple[ActionPair, ...]:
 
 
 def transcript_from_json(text: str, game: BimatrixGame) -> Transcript:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid transcript file: {exc}") from exc
+    data = decode_json(text, "transcript")
     if not isinstance(data, dict) or not isinstance(data.get("pairs"), list):
         raise InputError('transcript file must be an object with a "pairs" list')
     return Transcript(parse_pairs(data["pairs"]), game)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -41,8 +40,11 @@ from .core import (
     MixedStrategy,
     Transcript,
     as_integers,
+    decode_json,
+    draw_thresholds,
     format_rational,
     parse_integer,
+    parse_integer_token,
     parse_pair,
     parse_pairs,
     parse_rational,
@@ -256,11 +258,8 @@ def sample_prescription(
     reward round is appended.  Fully determined by (game, horizon, seed).
 
     Every output depends only on how often each pair was drawn, so the
-    sampler keeps one count per pair.  Draw k is the integer u = u64(k);
-    with the LP weights over their common denominator N and cumulative
-    numerators C_i, the draw u/2^64 falls below C_i/N exactly when u is
-    below ceil(C_i * 2^64 / N), so a bisection over those integer thresholds
-    picks the pair (equal thresholds skip zero-weight pairs).
+    sampler keeps one count per pair.  Draw k is the integer u = u64(k),
+    and a bisection over `draw_thresholds` of the LP weights picks its pair.
     """
     if horizon < 2:
         raise HorizonTooShort(horizon, 2)
@@ -277,12 +276,7 @@ def sample_prescription(
         return SampledConstruction(gpa, block, block, 0)
 
     all_pairs = list(game.pairs())
-    weights = [solution.alpha[p] for p in all_pairs]
-    denominator = math.lcm(*(w.denominator for w in weights))
-    thresholds = [
-        -(-(cumulative << 64) // denominator)
-        for cumulative in itertools.accumulate(as_integers(weights, denominator))
-    ]
+    thresholds = draw_thresholds([solution.alpha[p] for p in all_pairs])
     draw = CounterRng(seed, _STREAM_SAMPLES).u64
     drawn = [0] * len(all_pairs)
     for k in range(1, horizon):
@@ -439,10 +433,7 @@ class MultiplicativeWeightsGPA(GamePlayingAlgorithm):
         )
 
 
-def multiplicative_weights(  # kept: perfbench/workloads.py calls it
-    game: BimatrixGame, side: str, learning_rate: Fraction
-) -> MultiplicativeWeightsGPA:
-    return MultiplicativeWeightsGPA(game, side, learning_rate)
+multiplicative_weights = MultiplicativeWeightsGPA  # kept: perfbench/workloads.py calls it
 
 
 class LookupTableGPA(GamePlayingAlgorithm):
@@ -510,10 +501,7 @@ class PrescriptionFollower(GamePlayingAlgorithm):
         return self._run_ends[bisect.bisect_right(self._run_ends, t)] - t
 
 
-def prescription_follower(  # kept: perfbench/workloads.py calls it
-    prescription: Sequence[ActionPair], n_actions: int
-) -> PrescriptionFollower:
-    return PrescriptionFollower(prescription, n_actions)
+prescription_follower = PrescriptionFollower  # kept: perfbench/workloads.py calls it
 
 
 class MyopicBestResponder(GamePlayingAlgorithm):
@@ -554,10 +542,7 @@ class MyopicBestResponder(GamePlayingAlgorithm):
         return MixedStrategy.pure(best + 1, self.n_actions)
 
 
-def myopic_best_responder(  # kept: perfbench/workloads.py calls it
-    game: BimatrixGame, leader: GamePlayingAlgorithm
-) -> MyopicBestResponder:
-    return MyopicBestResponder(game, leader)
+myopic_best_responder = MyopicBestResponder  # kept: perfbench/workloads.py calls it
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +559,7 @@ def _history_from_key(key: str) -> History:
     pairs = []
     for token in key.split(";"):
         row, col = token.split(",")
-        pairs.append(ActionPair(int(row), int(col)))
+        pairs.append(ActionPair(parse_integer_token(row), parse_integer_token(col)))
     return tuple(pairs)
 
 
@@ -601,10 +586,7 @@ def gpa_to_json(gpa: GamePlayingAlgorithm) -> str:
 
 
 def gpa_from_json(text: str, game: BimatrixGame) -> GamePlayingAlgorithm:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid strategy file: {exc}") from exc
+    data = decode_json(text, "strategy")
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError('strategy file must be an object with a "kind" key')
     kind = data["kind"]

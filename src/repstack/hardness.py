@@ -27,6 +27,7 @@ from .core import (
     MixedStrategy,
     as_integers,
     format_rational,
+    parse_integer_token,
     stable_json,
     validate_game,
 )
@@ -92,7 +93,7 @@ def graph_from_text(text: str) -> Graph:
     if len(header) != 2:
         raise InputError('graph header must be "n m"')
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = parse_integer_token(header[0]), parse_integer_token(header[1])
     except ValueError as exc:
         raise InputError(f"invalid graph header {lines[0]!r}") from exc
     if len(lines) - 1 != m:
@@ -103,7 +104,7 @@ def graph_from_text(text: str) -> Graph:
         if len(parts) != 2:
             raise InputError(f'line {i}: expected "u v"')
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((parse_integer_token(parts[0]), parse_integer_token(parts[1])))
         except ValueError as exc:
             raise InputError(f"line {i}: invalid edge {line!r}") from exc
     return Graph(n, tuple(edges))
@@ -253,25 +254,19 @@ def cover_strategies(
     half = graph.n // 2
     if len(chosen) > half:
         raise InvalidCover(f"cover has {len(chosen)} vertices; at most {half} allowed")
+    vertices = range(1, graph.n + 1)
     padded = set(chosen)
-    for v in range(1, graph.n + 1):
+    for v in vertices:
         if len(padded) == half:
             break
         padded.add(v)
-    complement = [v for v in range(1, graph.n + 1) if v not in padded]
-    p1 = MixedStrategy(
-        tuple(
-            Fraction(1, len(padded)) if v in padded else Fraction(0)
-            for v in range(1, graph.n + 1)
+
+    def uniform_on(part: set[int]) -> MixedStrategy:
+        return MixedStrategy(
+            tuple(Fraction(1, len(part)) if v in part else Fraction(0) for v in vertices)
         )
-    )
-    p2 = MixedStrategy(
-        tuple(
-            Fraction(1, len(complement)) if v in complement else Fraction(0)
-            for v in range(1, graph.n + 1)
-        )
-    )
-    return p1, p2
+
+    return uniform_on(padded), uniform_on(set(vertices) - padded)
 
 
 def player3_audit(

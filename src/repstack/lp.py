@@ -60,7 +60,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # Dantzig's rule gives up after this many pivots in a row that leave the
-# objective unchanged; the threat LP then goes through `simplex_solve`.
+# objective unchanged; the threat LP then goes through `_bland_threat`.
 MAX_DEGENERATE_RUN = 50
 
 

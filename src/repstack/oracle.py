@@ -400,7 +400,7 @@ def _sample_action(
         support = strategy.support()
         if len(support) == 1:
             return support[0], True
-        return strategy.sample_index(rng.unit_fraction(t + 1)), False
+        return strategy.sample(rng.u64(t + 1)), False
     probabilities = player.probabilities_at(t, state)
     u = rng.unit_float(t + 1)
     cumulative = 0.0

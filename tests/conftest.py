@@ -12,8 +12,10 @@ integers: every tableau entry and grid total a `Fraction`.  The integer
 kernels must match them exactly, pivot counts included.
 `fraction_sample_prescription` and `fraction_verify_prescription` are the
 sampled construction and the prescription check as they were before they ran
-on per-pair counts and integers: a `Fraction` CDF walk per draw,
-`Fraction`-keyed sorts, and a `Fraction` suffix array.  `fraction_pair_ordering`,
+on per-pair counts and integers: a `Fraction` CDF walk per draw
+(`fraction_sample`, the draw rule read as "the first action whose
+cumulative weight exceeds u/2^64"), `Fraction`-keyed sorts, and a
+`Fraction` suffix array.  `fraction_pair_ordering`,
 `fraction_max_follower_pair` and `fraction_totals` are the game's pair order,
 follower-best pair and payoff totals as they were before the game held them
 as integers: a `Fraction`-keyed sort, a `Fraction`-keyed min and a `Fraction`
@@ -793,6 +795,17 @@ def fraction_totals(game: BimatrixGame, counts) -> tuple[Fraction, Fraction]:
     return leader, follower
 
 
+def fraction_sample(weights: Sequence[Fraction], u: int) -> int:
+    """The 1-based action that a 64-bit draw u picks: the first whose
+    cumulative weight exceeds u/2^64, walked in `Fraction`s."""
+    cumulative = Fraction(0)
+    for action, weight in enumerate(weights, start=1):
+        cumulative += weight
+        if Fraction(u, 1 << 64) < cumulative:
+            return action
+    raise AssertionError("the weights sum to less than 1")
+
+
 def fraction_sample_prescription(
     game: BimatrixGame, horizon: int, seed: int
 ) -> SampledConstruction:
@@ -811,12 +824,9 @@ def fraction_sample_prescription(
         return SampledConstruction(gpa, block, block, 0)
 
     all_pairs = list(game.pairs())
-    weights = MixedStrategy(tuple(solution.alpha[p] for p in all_pairs))
-    rng = CounterRng(seed, _STREAM_SAMPLES)
-    draws = [
-        all_pairs[weights.sample_index(rng.unit_fraction(k)) - 1]
-        for k in range(1, horizon)
-    ]
+    weights = [solution.alpha[p] for p in all_pairs]
+    draw = CounterRng(seed, _STREAM_SAMPLES).u64
+    draws = [all_pairs[fraction_sample(weights, draw(k)) - 1] for k in range(1, horizon)]
 
     ascending = lambda p: (game.follower_payoff(p), game.leader_payoff(p), p.row, p.col)
     canonical = fraction_pair_order_key(game)

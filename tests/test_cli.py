@@ -525,6 +525,76 @@ def test_missing_file_is_input_error(capsys) -> None:
     assert code == 2
 
 
+# Each command's input files, a valid body for each, and a body for each that
+# holds a 5,000-digit integer (past Python's digit limit where it has one,
+# and out of range where it has none).
+HOSTILE_READS = {
+    "threat": ("game",),
+    "solve": ("game",),
+    "build": ("game",),
+    "evaluate": ("game", "strategy"),
+    "simulate": ("game", "strategy"),
+    "regret": ("game", "transcript"),
+    "audit-vc": ("graph",),
+    "reduce": ("graph",),
+}
+HOSTILE_ARGS = {"build": ("-T", "5"), "simulate": ("-T", "1", "--follower", "myopic")}
+VALID_FILES = {
+    "game": PD,
+    "strategy": '{"kind":"prescribed","prescription":[[1,1],[1,1]],"threat":["0","1"]}',
+    "transcript": '{"pairs": [[1, 1], [2, 2]]}',
+    "graph": CYCLE4,
+}
+HUGE = "1" * 5000
+HUGE_INTEGER = {
+    "game": f'{{"M1": [[{HUGE}]], "M2": [[0]]}}',
+    "strategy": f'{{"kind":"prescribed","prescription":[[1,{HUGE}]],"threat":["0","1"]}}',
+    "transcript": f'{{"pairs": [[1, {HUGE}]]}}',
+}
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _lookup(key: str) -> str:
+    return json.dumps({"kind": "lookup", "n_actions": 2, "table": {"": 1, key: 2}})
+
+
+def _hostile_cases():
+    for command, kinds in HOSTILE_READS.items():
+        for kind in kinds:
+            if kind in HUGE_INTEGER:
+                body = HUGE_INTEGER[kind].encode()
+                yield pytest.param(command, kind, body, id=f"{command}-{kind}-digits")
+                yield pytest.param(command, kind, DEEP.encode(), id=f"{command}-{kind}-nesting")
+            body = b"\xff" + VALID_FILES[kind].encode()
+            yield pytest.param(command, kind, body, id=f"{command}-{kind}-utf8")
+    graphs = {
+        "header-arabic-indic": "\u0664 4\n1 2\n2 3\n3 4\n4 1\n",
+        "edge-arabic-indic": "4 4\n1 2\n2 3\n3 4\n4 \u0661\n",
+        "header-underscore": "1_0 4\n1 2\n2 3\n3 4\n4 1\n",
+    }
+    for name, graph in graphs.items():
+        yield pytest.param("audit-vc", "graph", graph.encode(), id=f"audit-vc-{name}")
+    keys = {"arabic-indic": "1,\u0664", "underscore": "1,1_0", "space": "1, 1"}
+    for name, key in keys.items():
+        yield pytest.param("simulate", "strategy", _lookup(key).encode(), id=f"lookup-key-{name}")
+
+
+@pytest.mark.parametrize("command, kind, body", _hostile_cases())
+def test_hostile_input_exits_2(tmp_path, capsys, command, kind, body) -> None:
+    """Digits past the limit, deep nesting, invalid UTF-8 and non-ASCII or
+    `_`-separated integer tokens in any file a command reads: exit 2 with one
+    `error:` line, no traceback."""
+    paths = []
+    for name in HOSTILE_READS[command]:
+        path = tmp_path / name
+        path.write_bytes(body if name == kind else VALID_FILES[name].encode())
+        paths.append(str(path))
+    code = main([command, *paths, *HOSTILE_ARGS.get(command, ())])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
 def test_closed_stdout_exits_quietly(pd_file, flags) -> None:
     """`repstack build ... | head -c 10`: the reader leaves after 10 bytes of

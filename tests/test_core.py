@@ -30,11 +30,13 @@ from repstack import (
     transcript_to_json,
     validate_game,
 )
+from repstack.core import draw_thresholds
 from repstack.gpa import MultiplicativeWeightsGPA, MyopicBestResponder, PrescribedSequenceGPA
 from repstack.oracle import simulate
 
 from conftest import (
     fraction_max_follower_pair,
+    fraction_sample,
     fraction_pair_ordering,
     fraction_totals,
     random_game,
@@ -189,10 +191,44 @@ def test_pure_strategies_are_shared() -> None:
 
 
 def test_mixed_strategy_sampling_is_exact() -> None:
+    """The draws u/2^64 = 0, the first at or past 1/3, and the last below
+    999/1000 pick actions 1, 2 and 2 of (1/3, 2/3)."""
     strategy = MixedStrategy((Fraction(1, 3), Fraction(2, 3)))
-    assert strategy.sample_index(Fraction(0)) == 1
-    assert strategy.sample_index(Fraction(1, 3)) == 2
-    assert strategy.sample_index(Fraction(999, 1000)) == 2
+    assert strategy.sample(0) == 1
+    assert strategy.sample(-(-(1 << 64) // 3)) == 2
+    assert strategy.sample((999 << 64) // 1000) == 2
+
+
+def _random_mix(rng: random.Random) -> MixedStrategy:
+    """Zero weights, pure mixes and denominators past 2^64 all occur."""
+    size = rng.randint(1, 6)
+    numerators = [
+        rng.choice([0, 0, rng.randint(1, 10), rng.randint(1, 1 << 70)]) for _ in range(size)
+    ]
+    if not any(numerators):
+        numerators[rng.randrange(size)] = 1
+    total = sum(numerators)
+    return MixedStrategy(tuple(Fraction(n, total) for n in numerators))
+
+
+def test_sample_matches_the_fraction_draw_rule() -> None:
+    """`sample(u)` is the first action whose cumulative weight exceeds
+    u/2^64, at u = 0, u = 2^64 - 1, every threshold and every threshold - 1."""
+    rng = random.Random(20)
+    mixes = [_random_mix(rng) for _ in range(200)]
+    mixes += [MixedStrategy.pure(2, 3), MixedStrategy((Fraction(1, 3**41), 1 - Fraction(1, 3**41)))]
+    assert any(len(m.support()) == 1 for m in mixes)
+    assert any(0 in m.weights for m in mixes)
+    assert any(max(w.denominator for w in m.weights) > 1 << 64 for m in mixes)
+    for mix in mixes:
+        thresholds = draw_thresholds(mix.weights)
+        assert thresholds[-1] == 1 << 64
+        draws = {0, (1 << 64) - 1} | {u for t in thresholds for u in (t, t - 1) if 0 <= u < 1 << 64}
+        for u in sorted(draws):
+            assert mix.sample(u) == fraction_sample(mix.weights, u), (mix, u)
+        for u in (-1, 1 << 64):
+            with pytest.raises(InputError):
+                mix.sample(u)
 
 
 def test_game_json_round_trip(pd_game) -> None:
