@@ -259,7 +259,11 @@ def sample_prescription(
 
     Every output depends only on how often each pair was drawn, so the
     sampler keeps one count per pair.  Draw k is the integer u = u64(k),
-    and a bisection over `draw_thresholds` of the LP weights picks its pair.
+    and it picks the first pair whose `draw_thresholds` entry exceeds u.
+    The LP weights are a vertex of a two-row LP, so at most two pairs have
+    positive weight: with one, every draw picks it and nothing is hashed;
+    with two, `count_below` counts the draws below the first one's threshold
+    in a single pass, and the second takes the rest.
     """
     if horizon < 2:
         raise HorizonTooShort(horizon, 2)
@@ -276,11 +280,23 @@ def sample_prescription(
         return SampledConstruction(gpa, block, block, 0)
 
     all_pairs = list(game.pairs())
-    thresholds = draw_thresholds([solution.alpha[p] for p in all_pairs])
-    draw = CounterRng(seed, _STREAM_SAMPLES).u64
+    weights = [solution.alpha[p] for p in all_pairs]
+    support = [i for i, weight in enumerate(weights) if weight]
+    if len(support) > 2:
+        raise RuntimeError(
+            f"commitment LP returned {len(support)} support pairs; a vertex has at most two"
+        )
+    # A draw below the first support pair's threshold picks that pair and any
+    # other draw the last one: zero-weight pairs before the first have
+    # threshold 0, and those between the two repeat the first's threshold.
+    first, last = support[0], support[-1]
     drawn = [0] * len(all_pairs)
-    for k in range(1, horizon):
-        drawn[bisect.bisect_right(thresholds, draw(k))] += 1
+    drawn[last] = horizon - 1
+    if first != last:
+        cut = draw_thresholds(weights)[first]
+        below = CounterRng(seed, _STREAM_SAMPLES).count_below(cut, horizon)
+        drawn[first] += below
+        drawn[last] -= below
     counts = dict(zip(all_pairs, drawn))
 
     # Swap drawn pairs for the reward pair in `pair_ordering`, worst for the

@@ -877,7 +877,7 @@ def test_threat_matches_bland_vertex() -> None:
 
 def test_threat_falls_back_when_dantzig_gives_up(pd_game, monkeypatch) -> None:
     """A fast path that gives up on a degenerate run returns None, and
-    `threat` answers through `simplex_solve` with the same vertex."""
+    `threat` answers through `_bland_threat` with the same vertex."""
     from repstack import lp
 
     expected = threat(pd_game)

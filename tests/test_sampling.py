@@ -9,6 +9,7 @@ the sampler's output may do, run `PYTHONPATH=src python tests/test_sampling.py`.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -35,6 +36,7 @@ from repstack import (
     verify_prescription,
 )
 from repstack import _rng
+from repstack import gpa as gpa_module
 from repstack.gpa import _STREAM_SAMPLES, HorizonTooShort, PrescribedSequenceGPA
 from repstack.oracle import _STREAM_FOLLOWER, _STREAM_LEADER
 from conftest import (
@@ -178,19 +180,38 @@ def test_u64_is_the_hash_of_seed_stream_counter(stream: int) -> None:
             assert rng.u64(counter) == expected  # a draw leaves no trace on the next
 
 
+def test_count_below_is_the_u64_sum() -> None:
+    """`count_below(cut, stop)` counts the draws 1..stop-1 below `cut`, at
+    cuts on, just beside and far outside the draws themselves."""
+    for seed, stream in ((0, _STREAM_SAMPLES), (7, 0), (-3, _STREAM_LEADER), (10**30, _STREAM_FOLLOWER)):
+        rng = _rng.CounterRng(seed, stream)
+        draws = [rng.u64(k) for k in range(1, 500)]
+        cuts = [-1, 0, 1, (1 << 64) - 1, 1 << 64, (1 << 64) + 5]
+        cuts += [draws[j] + shift for j in (0, 1, 7, 250, 498) for shift in (-1, 0, 1)]
+        for stop in (1, 2, 500):
+            for cut in cuts:
+                assert rng.count_below(cut, stop) == sum(u < cut for u in draws[: stop - 1])
+
+
 def test_sample_prescription_keeps_one_draw_per_round(monkeypatch) -> None:
-    """The sampler takes draws 1..T-1 of its stream, once each, in order."""
+    """The sampler counts draws 1..T-1 of its stream in one pass when the
+    commitment has two support pairs, and hashes nothing when it has one."""
     seen = []
-    u64 = _rng.CounterRng.u64
+    count_below = _rng.CounterRng.count_below
 
-    def recording_u64(self, counter):
-        seen.append((self.seed, self.stream, counter))
-        return u64(self, counter)
+    def recording_count_below(self, cut, stop):
+        seen.append((self.seed, self.stream, stop))
+        return count_below(self, cut, stop)
 
-    monkeypatch.setattr(_rng.CounterRng, "u64", recording_u64)
-    game = validate_game(*GOLDEN_GAMES["pd"])
-    sample_prescription(game, 50, seed=7)
-    assert seen == [(7, 3, k) for k in range(1, 50)]
+    monkeypatch.setattr(_rng.CounterRng, "count_below", recording_count_below)
+    sample_prescription(validate_game(*GOLDEN_GAMES["pd"]), 50, seed=7)
+    assert seen == [(7, 3, 50)]
+    seen.clear()
+    game = validate_game(*GOLDEN_GAMES["inevitability"])
+    assert sum(1 for p in game.pairs() if stackelberg_lp(game).alpha[p]) == 1
+    construction = sample_prescription(game, 50, seed=7)
+    assert seen == []
+    assert construction.pre_swap == fraction_sample_prescription(game, 50, seed=7).pre_swap
 
 
 @pytest.mark.parametrize("name", ["pd", "zero-weight-3x3", "zero-weight-4x4"])
@@ -206,7 +227,17 @@ def test_draws_on_cdf_boundaries_match_fraction_reference(monkeypatch, name) -> 
         cumulative += alpha[pair]
         edge = cumulative * (1 << 64)
         draws += [u for u in (math.floor(edge) - 1, math.floor(edge), math.ceil(edge)) if 0 <= u < 1 << 64]
-    monkeypatch.setattr(_rng.CounterRng, "u64", lambda self, counter: draws[counter % len(draws)])
+    # The reference reads draw k through `u64` and the sampler counts the
+    # same draws below its cut through `count_below`.
+    def injected(counter):
+        return draws[counter % len(draws)]
+
+    monkeypatch.setattr(_rng.CounterRng, "u64", lambda self, counter: injected(counter))
+    monkeypatch.setattr(
+        _rng.CounterRng,
+        "count_below",
+        lambda self, cut, stop: sum(injected(k) < cut for k in range(1, stop)),
+    )
     horizon = 3 * len(draws) + 1
     expected = fraction_sample_prescription(game, horizon, seed=0)
     actual = sample_prescription(game, horizon, seed=0)
@@ -215,6 +246,21 @@ def test_draws_on_cdf_boundaries_match_fraction_reference(monkeypatch, name) -> 
         expected.post_swap,
         expected.swaps,
     )
+
+
+def test_sample_prescription_rejects_more_than_two_support_pairs(monkeypatch) -> None:
+    """A commitment with three positive weights is not an LP vertex; the
+    sampler raises instead of drawing from it."""
+    game = validate_game(*GOLDEN_GAMES["zero-weight-3x3"])
+    solution = stackelberg_lp(game)
+    pairs = list(game.pairs())
+    alpha = {p: Fraction(0) for p in pairs}
+    for p in pairs[:3]:
+        alpha[p] = Fraction(1, 3)
+    broken = dataclasses.replace(solution, alpha=alpha)
+    monkeypatch.setattr(gpa_module, "stackelberg_lp", lambda game: broken)
+    with pytest.raises(RuntimeError, match="3 support pairs"):
+        sample_prescription(game, 50, seed=7)
 
 
 def _random_mixed(rng: random.Random, n: int) -> MixedStrategy:
