@@ -150,7 +150,8 @@ def cmd_build(args: argparse.Namespace) -> int:
             f" (refined 2r/T = {format_rational(refined)})",
         ]
     text = gpa.gpa_to_json(built)
-    payload["gpa"] = json.loads(text)
+    if args.json:
+        payload["gpa"] = json.loads(text)
     if args.output:
         _write_text(args.output, text)
         lines.append(f"wrote strategy to {args.output}")

@@ -548,7 +548,8 @@ class MyopicBestResponder(GamePlayingAlgorithm):
 
     def strategy_at(self, t: int, state: State) -> MixedStrategy:
         if self.leader.exact:
-            scores, _ = reply_values(self.game, self.leader.strategy_at(t, state))
+            x = self.leader.strategy_at(t, state)
+            scores, _ = reply_values(self.game.scaled_m2, self.game.granularity, x)
         else:
             probs = self.leader.probabilities_at(t, state)
             if self._float_columns is None:

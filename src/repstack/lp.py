@@ -27,21 +27,26 @@ same numbers as on the full tableau and takes the same pivot.  The
 artificials are the variables after the real ones: they start basic, so
 they have no column until they leave, and phase 2 keeps a prefix.
 
-No game LP builds a `LinearProgram`.  The commitment LP's integer rows come
+No game LP builds a `LinearProgram` or a game: each reads an integer
+payoff matrix and its scale.  The commitment LP's integer rows come
 straight from the game's integer view (granularity * M2, the threat value
 and granularity * M1) and go through `_two_phase`, which takes the same
-pivots to the same vertex as `simplex_solve` on the same program.
+pivots to the same vertex as `simplex_solve` on the same program.  The
+threat LP reads granularity * M2, and the game value the threat LP of -M1
+at M1's own granularity.  `reply_values` is the one contraction x.M e_j of a
+mixed row strategy with such a matrix.
 
 The threat LP has a fast path that answers with the same vertex.  Its
-integer tableau is written out from granularity * M2 already in a start
+integer tableau is written out from the scaled matrix already in a start
 basis that is feasible by construction (no artificials, no phase 1), and
 optimized with Dantzig's entering rule.  The answer is used only when
 every nonbasic reduced cost at the optimum is strictly positive (bar the
 twin of the free value's basic half): then the optimum is unique, so it is
 the vertex that Bland's rule reaches too.  Otherwise, or when Dantzig's rule
 runs into a long degenerate run, the threat LP's standard-form integer rows
-are written out from granularity * M2 and go through `_two_phase`, which
-pivots them as `simplex_solve` would `_threat_program`.
+are written out from the scaled matrix and go through `_two_phase`, which
+pivots them as `simplex_solve` would the threat program (`threat_program`
+in the tests' conftest, the reference the tests hold both paths to).
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from typing import Sequence
 from .core import ActionPair, BimatrixGame, InputError, MixedStrategy, as_integers
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # Dantzig's rule gives up after this many pivots in a row that leave the
 # objective unchanged; the threat LP then goes through `_bland_threat`.
@@ -419,60 +423,46 @@ class ThreatResult:
 def threat(game: BimatrixGame) -> ThreatResult:
     """Solve min over leader mixed x of max over follower columns of x.M2.
 
-    The answer is the vertex that `simplex_solve` picks on `_threat_program`.
-    `_certified_threat` reaches it from a feasible start when the optimum is
-    unique; otherwise `_bland_threat` pivots the program's integer rows.
+    The answer is the vertex that Bland's-rule simplex picks on the threat
+    program.  `_certified_threat` reaches it from a feasible start when the
+    optimum is unique; otherwise `_bland_threat` pivots the program's
+    integer rows.
     """
-    weights, value = _certified_threat(game) or _bland_threat(game)
+    return _threat(game.scaled_m2, game.granularity)
+
+
+def _threat(scaled: Sequence[Sequence[int]], scale: int) -> ThreatResult:
+    """`threat` of the follower matrix M with `scaled` = scale * M in integers."""
+    weights, value = _certified_threat(scaled, scale) or _bland_threat(scaled, scale)
     strategy = MixedStrategy(tuple(weights))
-    # Certificate in integers: max_j x*.M2 e_j == value.
-    replies, denominator = reply_values(game, strategy)
+    # Certificate in integers: max_j x*.M e_j == value.
+    replies, denominator = reply_values(scaled, scale, strategy)
     if max(replies) * value.denominator != denominator * value.numerator:
         raise RuntimeError("threat solver produced an inconsistent certificate")
     return ThreatResult(value=value, strategy=strategy)
 
 
-def _threat_program(game: BimatrixGame) -> LinearProgram:
-    """The threat LP over x_1..x_rows and a free v.
-
-    Only the tests build it: it is the reference whose Bland vertex
-    `threat` must return.
-    """
-    rows, cols = game.rows, game.cols
-    # Variables: x_1..x_rows, v.  Maximize -v subject to
-    # v - sum_i x_i M2[i][j] >= 0 for every column j, sum_i x_i = 1.
-    objective = tuple([ZERO] * rows + [Fraction(-1)])
-    a_ge = tuple(
-        tuple([-game.m2[i][j] for i in range(rows)] + [ONE]) for j in range(cols)
-    )
-    b_ge = tuple(ZERO for _ in range(cols))
-    a_eq = (tuple([ONE] * rows + [ZERO]),)
-    b_eq = (ONE,)
-    lower = tuple([ZERO] * rows + [None])
-    return LinearProgram(objective, a_eq, b_eq, a_ge, b_ge, lower)
-
-
-def _bland_threat(game: BimatrixGame) -> tuple[list[Fraction], Fraction]:
+def _bland_threat(scaled: Sequence[Sequence[int]], scale: int) -> tuple[list[Fraction], Fraction]:
     """(x*, v) of the threat LP by two-phase Bland's rule.
 
-    The integer rows are `_threat_program`'s standard form over the columns
-    x_1..x_rows, v+, v-, s_1..s_cols, written out from A*M2 with A the
-    granularity: row 1 is A*sum_i x_i = A and row 1 + j is
-    -x.(A*M2) e_j + A*v+ - A*v- - A*s_j = 0.  `simplex_solve` scales the
-    same rows by the LCM of M2's denominators, which divides A, so
-    `_two_phase` takes the same pivots to the same vertex.
+    The integer rows are the standard form of the threat program
+    (`threat_program` in the tests' conftest) over the columns x_1..x_rows,
+    v+, v-, s_1..s_cols, written out from A*M = `scaled`: row 1 is
+    A*sum_i x_i = A and row 1 + j is -x.(A*M) e_j + A*v+ - A*v- - A*s_j = 0.
+    `simplex_solve` scales the same rows by the LCM of M's denominators,
+    which divides A, so `_two_phase` takes the same pivots to the same
+    vertex.
     """
-    rows, cols = game.rows, game.cols
-    scale = game.granularity
+    rows, cols = len(scaled), len(scaled[0])
     s = rows + 2  # s_1 is column s
     program = [[scale] * rows + [0] * (cols + 2) + [scale]]
     for j in range(cols):
-        row = [-r[j] for r in game.scaled_m2] + [scale, -scale] + [0] * (cols + 1)
+        row = [-r[j] for r in scaled] + [scale, -scale] + [0] * (cols + 1)
         row[s + j] = -scale
         program.append(row)
     costs = [0] * rows + [-1, 1] + [0] * cols
     status, tableau, basis, denominator, _ = _two_phase(program, costs)
-    assert status is LPStatus.OPTIMAL  # x = e_1, v = max_j M2[1][j] is feasible
+    assert status is LPStatus.OPTIMAL  # x = e_1, v = max_j M[1][j] is feasible
     values = [0] * (s + cols)
     for var, row in zip(basis, tableau[1:]):
         values[var] = row[-1]
@@ -480,16 +470,18 @@ def _bland_threat(game: BimatrixGame) -> tuple[list[Fraction], Fraction]:
     return weights, Fraction(values[rows] - values[rows + 1], denominator)
 
 
-def _certified_threat(game: BimatrixGame) -> tuple[list[Fraction], Fraction] | None:
+def _certified_threat(
+    scaled: Sequence[Sequence[int]], scale: int
+) -> tuple[list[Fraction], Fraction] | None:
     """(x*, v) of the threat LP when its optimum is provably unique, else None.
 
     The integer tableau is over the columns x_1..x_rows, w+, w-,
-    s_1..s_cols, where w = A*v = w+ - w- and s_j = A*(v - x.M2 e_j), A the
-    granularity: row 1 is sum_i x_i = 1 and row 1 + j is
-    -x.(A*M2) e_j + w+ - w- - s_j = 0.  The start basis needs no phase 1:
-    x_1 = 1, w basic in the row of j* = argmax_j M2[1][j] (through w- when
-    that entry is negative) and s_j = w - (A*M2)[1][j] >= 0 basic in every
-    other row.  `_threat_start` writes that tableau out from A*M2.
+    s_1..s_cols, where w = A*v = w+ - w- and s_j = A*(v - x.M e_j), with
+    A*M = `scaled`: row 1 is sum_i x_i = 1 and row 1 + j is
+    -x.(A*M) e_j + w+ - w- - s_j = 0.  The start basis needs no phase 1:
+    x_1 = 1, w basic in the row of j* = argmax_j M[1][j] (through w- when
+    that entry is negative) and s_j = w - (A*M)[1][j] >= 0 basic in every
+    other row.  `_threat_start` writes that tableau out from A*M.
     Dantzig's rule runs phase 2.  At its optimum, a strictly positive
     reduced cost on every nonbasic column except the twin of w's basic half
     (whose reduced cost is 0, and moving it leaves w unchanged) means no
@@ -497,9 +489,9 @@ def _certified_threat(game: BimatrixGame) -> tuple[list[Fraction], Fraction] | N
     reaches, Bland's included.  Without that certificate, or when Dantzig's
     rule stalls on a long degenerate run, this returns None.
     """
-    rows, cols = game.rows, game.cols
+    rows, cols = len(scaled), len(scaled[0])
     w = rows  # w+ is column w, w- is column w + 1
-    tableau, basis, nonbasic = _threat_start(game)
+    tableau, basis, nonbasic = _threat_start(scaled)
     status, denominator, _ = _optimize(tableau, basis, nonbasic, 1, dantzig=True)
     if status is not LPStatus.OPTIMAL:
         return None
@@ -512,15 +504,17 @@ def _certified_threat(game: BimatrixGame) -> tuple[list[Fraction], Fraction] | N
     for var, row in zip(basis, tableau[1:]):
         values[var] = row[-1]
     weights = [Fraction(values[i], denominator) for i in range(rows)]
-    value = Fraction(values[w] - values[w + 1], denominator * game.granularity)
+    value = Fraction(values[w] - values[w + 1], denominator * scale)
     return weights, value
 
 
-def _threat_start(game: BimatrixGame) -> tuple[list[list[int]], list[int], list[int]]:
+def _threat_start(
+    scaled: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[int], list[int]]:
     """`_certified_threat`'s tableau in its start basis: (tableau, basis, nonbasic).
 
     The start basis has determinant +-1, so the tableau has denominator 1.
-    With S = A*M2, t = j* and sigma = +1 when w+ is basic (-1 for w-), the
+    With S = `scaled`, t = j* and sigma = +1 when w+ is basic (-1 for w-), the
     nonbasic columns are x_2..x_rows, the twin of w's basic half and s_t.
     Substituting x_1 = 1 - sum_{i>1} x_i into every row and w from row t
     into the others gives, over the columns x_i:
@@ -532,8 +526,7 @@ def _threat_start(game: BimatrixGame) -> tuple[list[list[int]], list[int], list[
       right-hand side S[1][t] - S[1][j].
     The twin's entry is 0 in every other row.
     """
-    rows, cols = game.rows, game.cols
-    scaled = game.scaled_m2
+    rows, cols = len(scaled), len(scaled[0])
     first = scaled[0]
     top = first.index(max(first))
     sign = 1 if first[top] >= 0 else -1
@@ -553,34 +546,33 @@ def _threat_start(game: BimatrixGame) -> tuple[list[list[int]], list[int], list[
     return tableau, basis, nonbasic
 
 
-def reply_values(game: BimatrixGame, strategy: MixedStrategy) -> tuple[list[int], int]:
-    """The follower's value x.M2 e_j of every column j against leader mix x.
+def reply_values(
+    scaled: Sequence[Sequence[int]], scale: int, strategy: MixedStrategy
+) -> tuple[list[int], int]:
+    """The value x.M e_j of every column j against row mix x, for the
+    matrix M with `scaled` = scale * M in integers.
 
-    Returned as integers over one denominator D * A, with D the LCM of x's
-    denominators and A the game's granularity: (D x).(A M2) e_j per column.
+    Returned as integers over one denominator D * scale, with D the LCM of
+    x's denominators: (D x).(scale M) e_j per column.
     """
-    scale = math.lcm(*(w.denominator for w in strategy.weights))
-    support = [
-        (x, game.scaled_m2[i]) for i, x in enumerate(as_integers(strategy.weights, scale)) if x
-    ]
-    replies = [sum(x * row[j] for x, row in support) for j in range(game.cols)]
-    return replies, scale * game.granularity
+    lcm = math.lcm(*(w.denominator for w in strategy.weights))
+    support = [(x, scaled[i]) for i, x in enumerate(as_integers(strategy.weights, lcm)) if x]
+    replies = [sum(x * row[j] for x, row in support) for j in range(len(scaled[0]))]
+    return replies, lcm * scale
 
 
 def game_value(game: BimatrixGame) -> Fraction:
     """The leader's maximin value of M1: max over mixed x of min_j x.M1 e_j.
 
     For a zero-sum game this is the game value; it always equals the negated
-    threat value of the game whose follower matrix is -M1.
+    threat value of the game `validate_game(M1, -M1)`.  That game's
+    granularity A1 is the LCM of M1's denominators, which is A over the gcd
+    of A and every entry of A*M1 (A the granularity), so its `scaled_m2` is
+    `scaled_m1` negated and divided exactly by that gcd.
     """
-    negated = BimatrixGame(
-        rows=game.rows,
-        cols=game.cols,
-        m1=game.m1,
-        m2=tuple(tuple(-v for v in row) for row in game.m1),
-        granularity=math.lcm(*(v.denominator for row in game.m1 for v in row)),
-    )
-    return -threat(negated).value
+    factor = math.gcd(game.granularity, *itertools.chain.from_iterable(game.scaled_m1))
+    negated = [[-v // factor for v in row] for row in game.scaled_m1]
+    return -_threat(negated, game.granularity // factor).value
 
 
 @dataclass(frozen=True)

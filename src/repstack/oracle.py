@@ -25,8 +25,6 @@ played a run at a time.
 
 from __future__ import annotations
 
-import math
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,7 +37,6 @@ from .core import (
     EmptyTranscript,
     InputError,
     Transcript,
-    as_integers,
     format_rational,
     stable_json,
 )
@@ -236,7 +233,7 @@ def verify_prescription(
     response deviates, only that this linear check cannot certify obedience.
     """
     (best_row, best_col), _ = game.max_follower_pair
-    replies, scale = reply_values(game, gpa.threat_strategy)
+    replies, scale = reply_values(game.scaled_m2, game.granularity, gpa.threat_strategy)
     # Round t fails when its suffix S_t falls below m + cap * (T - t).  Going
     # back one round adds the round's payoff to S_t and one cap to the bound,
     # so the running margin S_t - cap * (T - t) grows by s = (payoff - cap).
@@ -294,12 +291,11 @@ def evaluate_prescription(
     if 1 + per_round * (horizon - 1) > budget:
         raise StateSpaceExceeded(budget, budget + 1, horizon, (budget - 1) // per_round + 2)
 
-    scale = math.lcm(*(w.denominator for w in gpa.threat_strategy.weights))
-    weights = as_integers(gpa.threat_strategy.weights, scale)
-    theta_f, theta_l = max(
-        (sum(map(operator.mul, weights, f)), sum(map(operator.mul, weights, l)))
-        for f, l in zip(zip(*game.scaled_m2), zip(*game.scaled_m1))
-    )
+    x = gpa.threat_strategy
+    follower, denominator = reply_values(game.scaled_m2, game.granularity, x)
+    leader, _ = reply_values(game.scaled_m1, game.granularity, x)
+    theta_f, theta_l = max(zip(follower, leader))
+    scale = denominator // game.granularity
     # payoff[r][c]: the (follower, leader) payoff of pair (r + 1, c + 1).
     payoff = [
         [(scale * f, scale * l) for f, l in zip(*rows)]
@@ -323,7 +319,6 @@ def evaluate_prescription(
         start += count
     candidates.append((obeyed_f, obeyed_l))
     follower_total, leader_total = max(candidates)
-    denominator = scale * game.granularity
     return Fraction(follower_total, denominator), Fraction(leader_total, denominator)
 
 

@@ -21,6 +21,8 @@ follower-best pair and payoff totals as they were before the game held them
 as integers: a `Fraction`-keyed sort, a `Fraction`-keyed min and a `Fraction`
 fold.  `per_round_simulate` is the simulator as it was before it played pure
 stretches a run at a time: one round and one `step` per player at a time.
+`threat_program` is the threat LP as a `LinearProgram` for `simplex_solve`:
+the reference program whose Bland vertex both threat paths must return.
 `commitment_program` is the commitment LP as `stackelberg_lp` built it
 before it pivoted the game's integer view directly: a `LinearProgram` for
 `simplex_solve`.  `full_two_phase` (with `_full_pivot`, `_full_optimize`
@@ -64,7 +66,7 @@ from repstack.hardness import (
     ThreePlayerGame,
     _grid_points,
 )
-from repstack.lp import MAX_DEGENERATE_RUN, ONE, LinearProgram, LPSolution, LPStatus, stackelberg_lp
+from repstack.lp import MAX_DEGENERATE_RUN, LinearProgram, LPSolution, LPStatus, stackelberg_lp
 from repstack.oracle import (
     _STREAM_FOLLOWER,
     _STREAM_LEADER,
@@ -631,6 +633,26 @@ def full_two_phase(
     _full_rebuild_cost_row(tableau, basis, costs, denominator)
     status, denominator, phase2_pivots = _full_optimize(tableau, basis, n_real, denominator)
     return status, tableau, basis, denominator, (phase1_pivots, phase2_pivots)
+
+
+ZERO, ONE = Fraction(0), Fraction(1)
+
+
+def threat_program(game: BimatrixGame) -> LinearProgram:
+    """The threat LP over x_1..x_rows and a free v: the reference whose Bland
+    vertex `threat` must return."""
+    rows, cols = game.rows, game.cols
+    # Variables: x_1..x_rows, v.  Maximize -v subject to
+    # v - sum_i x_i M2[i][j] >= 0 for every column j, sum_i x_i = 1.
+    objective = tuple([ZERO] * rows + [Fraction(-1)])
+    a_ge = tuple(
+        tuple([-game.m2[i][j] for i in range(rows)] + [ONE]) for j in range(cols)
+    )
+    b_ge = tuple(ZERO for _ in range(cols))
+    a_eq = (tuple([ONE] * rows + [ZERO]),)
+    b_eq = (ONE,)
+    lower = tuple([ZERO] * rows + [None])
+    return LinearProgram(objective, a_eq, b_eq, a_ge, b_ge, lower)
 
 
 def commitment_program(game: BimatrixGame, value: Fraction) -> LinearProgram:

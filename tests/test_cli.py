@@ -113,6 +113,29 @@ def test_build_sampled_is_reproducible(pd_file, tmp_path, capsys) -> None:
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "variant", [[], ["--sampled", "--seed", "7"]], ids=["deterministic", "sampled"]
+)
+def test_build_decodes_its_output_only_under_json(variant, pd_file, capsys, monkeypatch) -> None:
+    """The text output prints the strategy's JSON as written; only `--json`
+    decodes it into the payload.  Only the CLI's own `json` is patched, so
+    the game file's decode is not counted."""
+    from types import SimpleNamespace
+
+    from repstack import cli
+
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(
+        cli, "json", SimpleNamespace(loads=lambda text: decoded.append(text) or loads(text))
+    )
+    code, out = run(capsys, "build", pd_file, "-T", "11", *variant)
+    assert code == 0 and decoded == []
+    code, out = run(capsys, "build", pd_file, "-T", "11", *variant, "--json")
+    assert code == 0 and len(decoded) == 1
+    assert loads(out)["gpa"] == loads(decoded[0])
+
+
 def test_evaluate_corrupted_gpa_exits_4(pd_file, tmp_path, capsys) -> None:
     out_path = tmp_path / "gpa.json"
     assert main(["build", pd_file, "-T", "11", "-o", str(out_path)]) == 0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -425,11 +424,10 @@ def _game_programs(monkeypatch) -> list[LinearProgram]:
 
     A certified threat never calls the solver, and `stackelberg_lp` pivots
     its own integer rows, so the threat and commitment programs are built
-    with `_threat_program` and `commitment_program`; the dual program is the
+    with `threat_program` and `commitment_program`; the dual program is the
     one the solver receives.
     """
-    from conftest import commitment_program
-    from repstack.lp import _threat_program
+    from conftest import commitment_program, threat_program
 
     rng = random.Random(5000)
     programs: list[LinearProgram] = []
@@ -437,10 +435,10 @@ def _game_programs(monkeypatch) -> list[LinearProgram]:
         for zero_sum in (False, True):
             for _ in range(6):
                 game = _granular_game(rng, rng.randint(1, 4), rng.randint(1, 4), granularity, zero_sum)
-                threat_program = _threat_program(game)
+                program = threat_program(game)
                 commitment = commitment_program(game, threat(game).value)
-                programs += [threat_program, threat_program, commitment]
-                programs.append(_threat_program(_negated(game)))
+                programs += [program, program, commitment]
+                programs.append(threat_program(_negated(game)))
                 programs += _recorded_programs(monkeypatch, lambda: _threat_dual_value(game))
     return programs
 
@@ -759,7 +757,8 @@ def test_threat_certificate_rejects_non_optimal_strategy(name: str, pd_game, mon
     optimum = threat(game)
     if name == "mixed-denominators":
         assert (optimum.value, optimum.strategy.weights) == (F(3, 20), (F(1, 2), F(1, 2)))
-    assert lp._certified_threat(game) is not None  # both paths below are live
+    # Both paths below are live.
+    assert lp._certified_threat(game.scaled_m2, game.granularity) is not None
     bland = lp._bland_threat
     alternatives = [
         tuple(F(int(i == k)) for i in range(game.rows)) for k in range(game.rows)
@@ -768,29 +767,30 @@ def test_threat_certificate_rejects_non_optimal_strategy(name: str, pd_game, mon
     assert alternatives
     for weights in alternatives:
 
-        def non_optimal(game):
-            _, value = bland(game)
+        def non_optimal(*matrix):
+            _, value = bland(*matrix)
             return list(weights), value
 
         # The fallback: `_bland_threat` returns the non-optimal point.
         with monkeypatch.context() as patch:
-            patch.setattr(lp, "_certified_threat", lambda game: None)
+            patch.setattr(lp, "_certified_threat", lambda *matrix: None)
             patch.setattr(lp, "_bland_threat", non_optimal)
             with pytest.raises(RuntimeError, match="inconsistent certificate"):
                 threat(game)
         # The certified path returns it.
         with monkeypatch.context() as patch:
-            patch.setattr(lp, "_certified_threat", lambda game: (list(weights), optimum.value))
+            patch.setattr(lp, "_certified_threat", lambda *matrix: (list(weights), optimum.value))
             with pytest.raises(RuntimeError, match="inconsistent certificate"):
                 threat(game)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_game_value_negated_game_equals_validated_game(seed: int, monkeypatch) -> None:
-    """`game_value` builds the game with M2 = -M1 directly; it must equal
-    `validate_game(m1, -m1)` in every field, granularity included (the LCM of
-    M1's denominators, not the input game's)."""
-    from repstack import BimatrixGame, lp
+    """`game_value` builds no game: the negated matrix and scale it hands the
+    threat solver must be `validate_game(m1, -m1)`'s integer follower matrix
+    and granularity (the LCM of M1's denominators, not the input game's),
+    and it returns minus that game's threat value."""
+    from repstack import lp
 
     rng = random.Random(3300 + seed)
     rows, cols = rng.randint(1, 4), rng.randint(1, 4)
@@ -799,17 +799,17 @@ def test_game_value_negated_game_equals_validated_game(seed: int, monkeypatch) -
     m1 = [[max(min(v, F(1)), F(-1)) for v in row] for row in m1]
     game = validate_game(m1, m2)
     seen = []
-    real_threat = lp.threat
-    monkeypatch.setattr(lp, "threat", lambda g: seen.append(g) or real_threat(g))
+    real_threat = lp._threat
+    monkeypatch.setattr(lp, "_threat", lambda *matrix: seen.append(matrix) or real_threat(*matrix))
     value = game_value(game)
-    (negated,) = seen
+    ((scaled, scale),) = seen
     expected = validate_game(game.m1, [[-v for v in row] for row in game.m1])
-    for field in dataclasses.fields(BimatrixGame):
-        assert getattr(negated, field.name) == getattr(expected, field.name), field.name
-    assert all(type(v) is Fraction for row in negated.m2 for v in row)
-    assert value == -real_threat(expected).value
+    assert [list(row) for row in scaled] == [list(row) for row in expected.scaled_m2]
+    assert all(type(v) is int for row in scaled for v in row)
+    assert scale == expected.granularity
+    assert value == -threat(expected).value
     if any(v.denominator > 1 for row in game.m2 for v in row):
-        assert negated.granularity != game.granularity
+        assert scale != game.granularity
 
 
 def _random_mix(rng: random.Random, n: int) -> MixedStrategy:
@@ -826,16 +826,20 @@ SHAPES = [(1, 1), (1, 4), (5, 1), (1, 7), (6, 1)] + [(None, None)] * 7
 @pytest.mark.parametrize("seed, shape", enumerate(SHAPES))
 def test_reply_values_equal_per_column_fraction_expectation(seed: int, shape) -> None:
     """Random games, 1 x k and k x 1 shapes included, against mixes with
-    zero weights, pure mixes and the threat strategy."""
+    zero weights, pure mixes and the threat strategy, on both payoff
+    matrices."""
     rng = random.Random(5500 + seed)
     rows, cols = shape if shape[0] else (rng.randint(2, 5), rng.randint(2, 5))
     game = random_game(rng, rows, cols, max_denominator=rng.choice([1, 6, 12]))
     mixes = [_random_mix(rng, rows), MixedStrategy.pure(rng.randint(1, rows), rows)]
     for x in mixes + [threat(game).strategy]:
-        ints, denominator = reply_values(game, x)
-        expected = [sum((w * game.m2[i][j] for i, w in enumerate(x.weights)), F(0)) for j in range(cols)]
-        assert [F(v, denominator) for v in ints] == expected
-        assert all(type(v) is int for v in ints)
+        for scaled, matrix in ((game.scaled_m2, game.m2), (game.scaled_m1, game.m1)):
+            ints, denominator = reply_values(scaled, game.granularity, x)
+            expected = [
+                sum((w * matrix[i][j] for i, w in enumerate(x.weights)), F(0)) for j in range(cols)
+            ]
+            assert [F(v, denominator) for v in ints] == expected
+            assert all(type(v) is int for v in ints)
 
 
 # Shapes for the fast-path differential: one row, one column, then
@@ -852,8 +856,8 @@ def test_threat_matches_bland_vertex() -> None:
     """`threat` and `game_value` give the vertex that Bland's-rule simplex
     picks on the threat program, whether the fast path certifies it or
     `threat` falls back; both paths run."""
-    from conftest import fraction_simplex_solve
-    from repstack.lp import _certified_threat, _threat_program
+    from conftest import fraction_simplex_solve, threat_program
+    from repstack.lp import _certified_threat
 
     rng = random.Random(8000)
     certified = fallbacks = 0
@@ -862,11 +866,11 @@ def test_threat_matches_bland_vertex() -> None:
             rows, cols = _differential_shape(rng, draw)
             game = _granular_game(rng, rows, cols, granularity, zero_sum=draw % 5 == 4)
             for target in (game, _negated(game)):
-                reference = fraction_simplex_solve(_threat_program(target))
+                reference = fraction_simplex_solve(threat_program(target))
                 result = threat(target)
                 assert result.strategy.weights == reference.values[:rows], target
                 assert result.value == reference.values[rows], target
-                if _certified_threat(target) is None:
+                if _certified_threat(target.scaled_m2, target.granularity) is None:
                     fallbacks += 1
                 else:
                     certified += 1
@@ -881,9 +885,9 @@ def test_threat_falls_back_when_dantzig_gives_up(pd_game, monkeypatch) -> None:
     from repstack import lp
 
     expected = threat(pd_game)
-    assert lp._certified_threat(pd_game) is not None
+    assert lp._certified_threat(pd_game.scaled_m2, pd_game.granularity) is not None
     monkeypatch.setattr(lp, "MAX_DEGENERATE_RUN", -1)  # the first pivot is past the bound
-    assert lp._certified_threat(pd_game) is None
+    assert lp._certified_threat(pd_game.scaled_m2, pd_game.granularity) is None
     assert threat(pd_game) == expected
 
 
@@ -977,7 +981,7 @@ def test_threat_start_is_the_installed_tableau() -> None:
             assert denominator == 1
             nonbasic = [j for j in range(len(tableau[0]) - 1) if j not in basis]
             projected = [[row[j] for j in nonbasic] + row[-1:] for row in tableau]
-            assert _threat_start(game) == (projected, basis, nonbasic), game
+            assert _threat_start(game.scaled_m2) == (projected, basis, nonbasic), game
             through_w_minus += basis.count(rows + 1)
     assert through_w_minus >= 20, through_w_minus  # 30 of 96 when this test was written
 
@@ -1053,13 +1057,14 @@ def test_compact_core_matches_full_tableau(monkeypatch) -> None:
 
 def test_bland_threat_pivots_the_threat_program(monkeypatch) -> None:
     """`_bland_threat`'s integer rows are the rows `simplex_solve` builds for
-    `_threat_program`, times A/L (A the granularity, L the LCM of M2's
+    `threat_program`, times A/L (A the granularity, L the LCM of M2's
     denominators), and `_two_phase` takes the same pivots from both to the
     same basis and answer, on the 240 threat programs of
     `test_threat_matches_bland_vertex` and on 40 games whose M1 adds
     denominators that M2 lacks."""
+    from conftest import threat_program
     from repstack import lp
-    from repstack.lp import _bland_threat, _threat_program
+    from repstack.lp import _bland_threat
 
     calls = []
     two_phase = lp._two_phase
@@ -1086,8 +1091,8 @@ def test_bland_threat_pivots_the_threat_program(monkeypatch) -> None:
     monkeypatch.setattr(lp, "_two_phase", recording)
     rescaled = 0
     for target in targets:
-        weights, value = _bland_threat(target)
-        solution = simplex_solve(_threat_program(target))
+        weights, value = _bland_threat(target.scaled_m2, target.granularity)
+        solution = simplex_solve(threat_program(target))
         (own_rows, own_costs, own), (lp_rows, lp_costs, reference) = calls
         calls.clear()
         lcm = math.lcm(*(v.denominator for row in target.m2 for v in row))
