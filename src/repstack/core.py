@@ -333,9 +333,11 @@ class Transcript:
 
     def __post_init__(self) -> None:
         # `counts` holds each distinct pair once, in order of first occurrence,
-        # with how often it was played.  Not a field: equality, hashing and
-        # repr ignore it.
-        counts = Counter(self.pairs)
+        # with how often it was played, counted once per run of equal pairs.
+        # Not a field: equality, hashing and repr ignore it.
+        counts = Counter()
+        for pair, run in itertools.groupby(self.pairs):
+            counts[pair] += len(list(run))
         object.__setattr__(self, "counts", counts)
         for pair in counts:
             if not self.game.contains(pair):

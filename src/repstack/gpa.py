@@ -28,6 +28,7 @@ import bisect
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
@@ -499,7 +500,7 @@ class PrescriptionFollower(GamePlayingAlgorithm):
     def __init__(self, prescription: Sequence[ActionPair], n_actions: int):
         super().__init__(n_actions)
         self.prescription = tuple(prescription)
-        columns = itertools.groupby(pair.col for pair in self.prescription)
+        columns = itertools.groupby(map(operator.itemgetter(1), self.prescription))
         self._run_ends = tuple(itertools.accumulate(len(list(run)) for _, run in columns))
 
     def initial_state(self) -> None:
@@ -602,7 +603,72 @@ def gpa_to_json(gpa: GamePlayingAlgorithm) -> str:
     return stable_json({"kind": gpa.kind, **data})
 
 
+# `gpa_to_json`'s bytes around a prescribed script, and one pair as it
+# writes pairs: no sign, no leading zero.
+_WRITTEN_PRESCRIBED = '{"kind":"prescribed","prescription":['
+_WRITTEN_PAIR = re.compile(r"\[([1-9][0-9]*),([1-9][0-9]*)\]")
+_WRITTEN_THREAT = '],"threat":'
+
+
+def _read_written_prescription(text: str, game: BimatrixGame) -> PrescribedSequenceGPA | None:
+    """The prescribed strategy whose `gpa_to_json` bytes are `text`, else None.
+
+    Outer JSON whitespace aside, the text must be exactly what `gpa_to_json`
+    writes, and it is read one run at a time: the run's first pair by
+    `_WRITTEN_PAIR`, its length by comparing ever longer blocks of its
+    `,[r,c]` copies with `str.startswith`, doubling while they match and then
+    halving, O(log length) compares.  Only the threat list is decoded as
+    JSON.  The answer stands only when `gpa_to_json` writes it back as the
+    same bytes, and then the general reader would return an equal strategy;
+    on any other text this returns None without raising, so the general
+    reader runs and every error is its own.
+    """
+    text = text.strip(" \t\n\r")
+    if not text.startswith(_WRITTEN_PRESCRIBED):
+        return None
+    end = len(_WRITTEN_PRESCRIBED)
+    runs = []
+    try:
+        while True:
+            match = _WRITTEN_PAIR.match(text, end)
+            if match is None:
+                return None
+            pair = game.pair_table[int(match[1]) - 1][int(match[2]) - 1]
+            start = end = match.end()
+            unit = block = "," + match[0]
+            while text.startswith(block, end):
+                end += len(block)
+                block += block
+            # Fewer copies than `block` holds are left, so each halving is
+            # taken at most once.
+            while len(block) > len(unit):
+                block = block[: len(block) // 2]
+                if text.startswith(block, end):
+                    end += len(block)
+            runs.append(itertools.repeat(pair, 1 + (end - start) // len(unit)))
+            if not text.startswith(",", end):
+                break
+            end += 1
+        if not text.startswith(_WRITTEN_THREAT, end):
+            return None
+        weights = decode_json(text[end + len(_WRITTEN_THREAT) : -1], "strategy")
+        if not isinstance(weights, list):
+            return None
+        threat_strategy = MixedStrategy(tuple(map(parse_rational, weights)))
+        gpa = PrescribedSequenceGPA(game, itertools.chain.from_iterable(runs), threat_strategy)
+    # An index past the game's actions or past `int`'s digit limit, or any
+    # threat or script that the constructors refuse.
+    except (IndexError, ValueError):
+        return None
+    return gpa if gpa_to_json(gpa) == text else None
+
+
 def gpa_from_json(text: str, game: BimatrixGame) -> GamePlayingAlgorithm:
+    """Read a strategy file: a prescribed strategy as written, one run at a
+    time; any other JSON through `decode_json` and the per-kind parsers."""
+    written = _read_written_prescription(text, game)
+    if written is not None:
+        return written
     data = decode_json(text, "strategy")
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError('strategy file must be an object with a "kind" key')

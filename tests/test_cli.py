@@ -206,6 +206,17 @@ def test_evaluate_long_horizon_in_closed_form(pd_file, tmp_path, capsys) -> None
     assert elapsed < 2.0
 
 
+def test_evaluate_a_million_rounds_within_the_default_budget(pd_file, tmp_path, capsys) -> None:
+    """Deterministic PD at T = 10^6 builds and evaluates under the default
+    budget: the evaluator counts 2T - 1 = 1,999,999 states."""
+    gpa_path = tmp_path / "gpa.json"
+    assert main(["build", pd_file, "-T", "1000000", "-o", str(gpa_path)]) == 0
+    capsys.readouterr()
+    code, out = run(capsys, "evaluate", pd_file, str(gpa_path))
+    assert code == 0
+    assert "verdict = Obeys" in out
+
+
 @pytest.mark.parametrize("follower", ["obedient", "myopic"])
 def test_simulate_past_the_end_of_a_script(pd_file, tmp_path, capsys, follower) -> None:
     gpa_path = tmp_path / "gpa.json"

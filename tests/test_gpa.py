@@ -27,6 +27,7 @@ from repstack import (
     threat,
     validate_game,
 )
+from repstack import gpa as gpa_module
 from repstack import lp
 from repstack.core import parse_pair, parse_pairs
 from repstack.gpa import (
@@ -361,7 +362,9 @@ def test_gpa_to_json_digest_and_round_trip(pd_game, construct, digest) -> None:
 def test_prescription_parse_matches_entry_by_entry(pd_game) -> None:
     """Runs of equal entries parse to the pairs, or fail with the error, that
     `parse_pair` on every entry gives, also where `[1, true]` or `[1, 1.0]`
-    equals `[1, 1]`."""
+    equals `[1, 1]`.  Each case is also written compactly, with the keys in
+    `gpa_to_json` order, so the per-run reader meets it too: it answers
+    exactly the cases that load, and every other one fails as before."""
     good = [[1, 1], [1, 2], [2, 1], [2, 2]]
     bad = [[1, True], [True, 1], [1, 1.0], [1], [1, 2, 3], [1, "1"], [3, 1], "ab", 5, None, {"a": 1}]
     rng = random.Random(11)
@@ -371,7 +374,9 @@ def test_prescription_parse_matches_entry_by_entry(pd_game) -> None:
         for _ in range(rng.randint(1, 6)):
             value = rng.choice(bad) if rng.random() < 0.15 else rng.choice(good)
             entries += [value] * rng.randint(1, 4)
-        text = json.dumps({"kind": "prescribed", "prescription": entries, "threat": ["0", "1"]})
+        data = {"kind": "prescribed", "prescription": entries, "threat": ["0", "1"]}
+        text = json.dumps(data)
+        compact = json.dumps(data, separators=(",", ":"))
         loaded = json.loads(text)["prescription"]
         per_entry = None
         try:
@@ -379,16 +384,90 @@ def test_prescription_parse_matches_entry_by_entry(pd_game) -> None:
             expected = PrescribedSequenceGPA(pd_game, per_entry, MixedStrategy.pure(2, 2)).prescription
         except InputError as exc:
             expected = str(exc)
-        try:
-            actual = gpa_from_json(text, pd_game).prescription
-        except InputError as exc:
-            actual = str(exc)
-        assert actual == expected, entries
+        for written in (text, compact):
+            try:
+                actual = gpa_from_json(written, pd_game).prescription
+            except InputError as exc:
+                actual = str(exc)
+            assert actual == expected, (written, entries)
+        read = gpa_module._read_written_prescription(compact, pd_game)
+        assert (read is not None) == (type(expected) is tuple), entries
         try:
             parsed = parse_pairs(loaded)
         except InputError as exc:
             parsed = str(exc)
         assert parsed == (expected if per_entry is None else per_entry), entries
+        outcomes.add(type(expected))
+    assert outcomes == {tuple, str}
+
+
+def _loaded_or_error(load, text, game):
+    """(prescription, threat) of the strategy `load` reads, or its error."""
+    try:
+        loaded = load(text, game)
+    except InputError as exc:
+        return str(exc)
+    return loaded.prescription, loaded.threat_strategy
+
+
+def _replace_nth(text: str, old: str, new: str, n: int) -> str:
+    """`text` with the n-th (0-based) occurrence of `old` replaced by `new`."""
+    start = -1
+    for _ in range(n + 1):
+        start = text.index(old, start + 1)
+    return text[:start] + new + text[start + len(old) :]
+
+
+def test_written_script_is_read_per_run(pd_game, monkeypatch) -> None:
+    """A file as `gpa_to_json` writes it loads without `parse_pairs`, with or
+    without outer whitespace; any other text gets what the general reader
+    gives, the same strategy or the same error."""
+    constructs = [
+        build_deterministic_gpa(pd_game, 4097)[0],
+        sample_prescription(pd_game, 4097, 0).gpa,
+        _shuffled_pd_script(pd_game),
+    ]
+
+    def general_only(text, game):
+        with monkeypatch.context() as patch:
+            patch.setattr(gpa_module, "_read_written_prescription", lambda text, game: None)
+            return gpa_from_json(text, game)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gpa_module, "parse_pairs", lambda entries: pytest.fail("parse_pairs called"))
+        for built in constructs:
+            text = gpa_to_json(built)
+            for written in (text, text + "\n", " \t\r\n" + text + "\n"):
+                loaded = gpa_from_json(written, pd_game)
+                assert loaded.prescription == built.prescription
+                assert loaded.runs == built.runs
+                assert loaded.threat_strategy == built.threat_strategy
+
+    built, _ = build_deterministic_gpa(pd_game, 11)
+    text = gpa_to_json(built)
+    assert text.startswith('{"kind":"prescribed","prescription":[[2,1],[2,1],[2,1],[2,1]')
+    body = text[len('{"kind":"prescribed",') : -1]
+    perturbed = [
+        _replace_nth(text, ",", ", ", 7),
+        "{" + body + ',"kind":"prescribed"}',
+        '{"threat":["0","1"],' + body.split(',"threat":')[0] + ',"kind":"prescribed"}',
+        "{" + body + ',"kind":"two_phase"}',
+        _replace_nth(text, "[2,1]", "[02,1]", 3),
+        _replace_nth(text, "[2,1]", "[2,1.0]", 3),
+        _replace_nth(text, "[2,1]", "[2,true]", 3),
+        _replace_nth(text, "[2,1]", "[" + "1" * 5000 + ",1]", 3),
+        _replace_nth(text, "[1,1]", "[1,3]", 1),
+        text.replace('["0","1"]', '["0","0","1"]'),
+        text.replace('["0","1"]', '["0/1","1"]'),
+        '{"kind":"prescribed","prescription":[],"threat":["0","1"]}',
+        text.replace("]],", "],],"),
+    ]
+    outcomes = set()
+    for variant in perturbed:
+        assert variant != text
+        assert gpa_module._read_written_prescription(variant, pd_game) is None, variant
+        expected = _loaded_or_error(general_only, variant, pd_game)
+        assert _loaded_or_error(gpa_from_json, variant, pd_game) == expected, variant
         outcomes.add(type(expected))
     assert outcomes == {tuple, str}
 
