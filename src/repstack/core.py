@@ -105,8 +105,10 @@ class ActionPair(NamedTuple):
 class MixedStrategy:
     """A probability distribution over a player's actions.
 
-    Weights are exact rationals, nonnegative, and sum to exactly 1.
-    Action indices are 1-based throughout the package.
+    Weights are `int`s or `Fraction`s (floats and bools raise
+    `InputError`), nonnegative, and sum to exactly 1, which is checked in
+    integers over their common denominator.  Action indices are 1-based
+    throughout the package.
     """
 
     weights: tuple[Fraction, ...]
@@ -114,9 +116,14 @@ class MixedStrategy:
     def __post_init__(self) -> None:
         if not self.weights:
             raise InputError("mixed strategy must have at least one action")
-        if any(w < 0 for w in self.weights):
+        for w in self.weights:
+            if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+                raise InputError(f"mixed strategy weights must be int or Fraction, got {w!r}")
+        lcm = math.lcm(*(w.denominator for w in self.weights))
+        numerators = as_integers(self.weights, lcm)
+        if any(v < 0 for v in numerators):
             raise InputError("mixed strategy weights must be nonnegative")
-        if sum(self.weights) != 1:
+        if sum(numerators) != lcm:
             raise InputError("mixed strategy weights must sum to exactly 1")
 
     @staticmethod

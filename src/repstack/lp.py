@@ -30,23 +30,28 @@ they have no column until they leave, and phase 2 keeps a prefix.
 No game LP builds a `LinearProgram` or a game: each reads an integer
 payoff matrix and its scale.  The commitment LP's integer rows come
 straight from the game's integer view (granularity * M2, the threat value
-and granularity * M1) and go through `_two_phase`, which takes the same
-pivots to the same vertex as `simplex_solve` on the same program.  The
-threat LP reads granularity * M2, and the game value the threat LP of -M1
-at M1's own granularity.  `reply_values` is the one contraction x.M e_j of a
+and granularity * M1), each at its natural scale: the row sum alpha = 1
+stays unscaled, and `_two_phase` weights its phase-1 artificial by the
+other row's scale instead, which takes the same pivots to the same vertex
+as `simplex_solve` on the same program with smaller numbers.  The threat
+LP reads granularity * M2, and the game value the threat LP of -M1 at M1's
+own granularity.  `reply_values` is the one contraction x.M e_j of a
 mixed row strategy with such a matrix.
 
 The threat LP has a fast path that answers with the same vertex.  Its
 integer tableau is written out from the scaled matrix already in a start
 basis that is feasible by construction (no artificials, no phase 1), and
-optimized with Dantzig's entering rule.  The answer is used only when
-every nonbasic reduced cost at the optimum is strictly positive (bar the
-twin of the free value's basic half): then the optimum is unique, so it is
-the vertex that Bland's rule reaches too.  Otherwise, or when Dantzig's rule
-runs into a long degenerate run, the threat LP's standard-form integer rows
-are written out from the scaled matrix and go through `_two_phase`, which
-pivots them as `simplex_solve` would the threat program (`threat_program`
-in the tests' conftest, the reference the tests hold both paths to).
+optimized with Dantzig's entering rule.  The answer is used only when the
+optimum is unique, so that it is the vertex that Bland's rule reaches too:
+when every nonbasic reduced cost at the optimum is strictly positive (bar
+the twin of the free value's basic half), or when the columns whose reduced
+cost is 0 stay 0 all over the optimal face, which a Bland's-rule solve over
+just those columns from the optimal basis decides.  Otherwise, or when
+Dantzig's rule runs into a long degenerate run, the threat LP's
+standard-form integer rows are written out from the scaled matrix and go
+through `_two_phase`, which pivots them as `simplex_solve` would the threat
+program (`threat_program` in the tests' conftest, the reference the tests
+hold both paths to).
 """
 
 from __future__ import annotations
@@ -281,7 +286,7 @@ def _standard_row(row: Sequence[Fraction], scale: int, free: Sequence[int]) -> l
 
 
 def _two_phase(
-    rows: list[list[int]], costs: list[int]
+    rows: list[list[int]], costs: list[int], weights: Sequence[int] | None = None
 ) -> tuple[LPStatus, list[list[int]], list[int], int, tuple[int, int]]:
     """Two-phase Bland's-rule simplex over integer constraint rows.
 
@@ -289,22 +294,32 @@ def _two_phase(
     `costs` are the phase-2 costs to maximize.  A row with a negative
     right-hand side is negated, and each row starts with its own artificial
     variable basic (variables n_real + i), so the start tableau is the rows
-    themselves and its phase-1 cost row is minus their sum.  Leftover
-    artificials are driven out on the first real column with a nonzero
-    entry; a row with none is redundant and dropped.  The artificials sort
-    after the real variables, so phase 2 keeps a prefix of the columns.
-    Returns the status, the final tableau (over the nonbasic columns in
-    increasing order), its basis and denominator, and the (phase 1, phase 2)
-    pivot counts.  Scaling every row by one positive integer, or the costs by
-    another, keeps every sign and ratio order that Bland's rule reads (the
-    artificials scale with the rows), so it takes the same pivots to the same
-    vertex.
+    themselves.  Phase 1 maximizes minus the weighted sum of the artificials,
+    artificial i weighted by the positive integer `weights[i]` (1 each by
+    default), so its cost row is minus the weighted sum of the rows.
+    Leftover artificials are driven out on the first real column with a
+    nonzero entry; a row with none is redundant and dropped.  The
+    artificials sort after the real variables, so phase 2 keeps a prefix of
+    the columns.  Returns the status, the final tableau (over the nonbasic
+    columns in increasing order), its basis and denominator, and the
+    (phase 1, phase 2) pivot counts.
+
+    Scaling every row by one positive integer, or the costs by another,
+    keeps every sign and ratio order that Bland's rule reads (the
+    artificials scale with the rows), so it takes the same pivots to the
+    same vertex.  So does leaving a factor f_i out of row i and weighting
+    its artificial by f_i instead: that is the uniformly scaled program with
+    artificial i measured in units of 1/f_i, so its column and its reduced
+    cost are multiplied by f_i and its row, while it is basic, is divided
+    by f_i, and no sign, ratio order or tie changes.  The tableau numbers
+    and denominators are then smaller by the factors left out.
     """
     n_real, m = len(costs), len(rows)
     tableau = [[]] + [[-v for v in row] if row[-1] < 0 else list(row) for row in rows]
     basis = list(range(n_real, n_real + m))
     nonbasic = list(range(n_real))
-    _rebuild_cost_row(tableau, basis, nonbasic, [0] * n_real + [-1] * m, 1)
+    phase1 = [0] * n_real + ([-w for w in weights] if weights else [-1] * m)
+    _rebuild_cost_row(tableau, basis, nonbasic, phase1, 1)
     status, denominator, phase1_pivots = _optimize(tableau, basis, nonbasic, 1)
     assert status is LPStatus.OPTIMAL  # phase 1 objective is bounded above by 0
     if tableau[0][-1] != 0:
@@ -466,7 +481,7 @@ def _bland_threat(scaled: Sequence[Sequence[int]], scale: int) -> tuple[list[Fra
     values = [0] * (s + cols)
     for var, row in zip(basis, tableau[1:]):
         values[var] = row[-1]
-    weights = [Fraction(values[i], denominator) for i in range(rows)]
+    weights = [Fraction(v, denominator) if v else ZERO for v in values[:rows]]
     return weights, Fraction(values[rows] - values[rows + 1], denominator)
 
 
@@ -482,12 +497,16 @@ def _certified_threat(
     x_1 = 1, w basic in the row of j* = argmax_j M[1][j] (through w- when
     that entry is negative) and s_j = w - (A*M)[1][j] >= 0 basic in every
     other row.  `_threat_start` writes that tableau out from A*M.
-    Dantzig's rule runs phase 2.  At its optimum, a strictly positive
-    reduced cost on every nonbasic column except the twin of w's basic half
-    (whose reduced cost is 0, and moving it leaves w unchanged) means no
-    other feasible point is optimal; so the vertex is the one any pivot rule
-    reaches, Bland's included.  Without that certificate, or when Dantzig's
-    rule stalls on a long degenerate run, this returns None.
+    Dantzig's rule runs phase 2.  At its optimum, the optimal face is the
+    set of feasible points whose nonbasic columns of positive reduced cost
+    are 0.  The twin of w's basic half has reduced cost 0, but moving it
+    only splits w differently.  The other columns of reduced cost 0 leave w
+    unchanged (the reduced costs are w's row up to sign, every other basic
+    variable costing 0), and `_face_is_point` decides whether they are 0
+    all over the face.  If they are, the face is the one point x*, v, and
+    that is the vertex any pivot rule reaches, Bland's included.
+    Otherwise, or when Dantzig's rule stalls on a long degenerate run, this
+    returns None.
     """
     rows, cols = len(scaled), len(scaled[0])
     w = rows  # w+ is column w, w- is column w + 1
@@ -495,17 +514,40 @@ def _certified_threat(
     status, denominator, _ = _optimize(tableau, basis, nonbasic, 1, dantzig=True)
     if status is not LPStatus.OPTIMAL:
         return None
-    # The twin of w's basic half; if neither half is basic, the check below
-    # fails on w-, whose reduced cost is then 0 like w+'s.
+    # One half of w is basic at an optimum: with both nonbasic, w-'s reduced
+    # cost would be -1.  The other half is its twin.
     twin = w + 1 if w in basis else w
-    if any(cost <= 0 for var, cost in zip(nonbasic, tableau[0]) if var != twin):
+    flat = [k for k, var in enumerate(nonbasic) if not tableau[0][k] and var != twin]
+    if flat and not _face_is_point(tableau, basis, nonbasic, flat, denominator):
         return None
     values = [0] * (rows + 2 + cols)
     for var, row in zip(basis, tableau[1:]):
         values[var] = row[-1]
-    weights = [Fraction(values[i], denominator) for i in range(rows)]
+    weights = [Fraction(v, denominator) if v else ZERO for v in values[:rows]]
     value = Fraction(values[w] - values[w + 1], denominator * scale)
     return weights, value
+
+
+def _face_is_point(
+    tableau: list[list[int]],
+    basis: list[int],
+    nonbasic: list[int],
+    flat: list[int],
+    denominator: int,
+) -> bool:
+    """Whether the nonbasic columns at positions `flat` are 0 at every point
+    of the optimal tableau's face: the points where its other nonbasic
+    columns are 0.
+
+    A copy of the tableau restricted to those columns, with row 0 set to
+    maximize their sum (each at -denominator), is optimized with Bland's
+    rule from the optimal basis, which is feasible for it.  The sum starts
+    at 0; it stays 0 exactly when no point of the face moves them.
+    """
+    face = [[-denominator] * len(flat) + [0]]
+    face += [[row[k] for k in flat] + row[-1:] for row in tableau[1:]]
+    status, _, _ = _optimize(face, list(basis), [nonbasic[k] for k in flat], denominator)
+    return status is LPStatus.OPTIMAL and face[0][-1] == 0
 
 
 def _threat_start(
@@ -602,10 +644,12 @@ def stackelberg_lp(game: BimatrixGame) -> StackelbergSolution:
     is always feasible, so the program is never infeasible; it is bounded by
     the maximum leader payoff.  Its integer rows come straight from the
     game's integer view, over one weight per pair (row-major) and the
-    slack of the threat row: sum_p alpha_p = 1 and
-    sum_p M2(p) alpha_p - s = V, both scaled by L = lcm(A, den V), A the
-    granularity, with the costs A*M1.  `_two_phase` pivots them as
-    `simplex_solve` would the same program, and `Fraction`s are built only
+    slack of the threat row: sum_p alpha_p = 1 as it stands, and
+    sum_p M2(p) alpha_p - s = V scaled by L = lcm(A, den V), A the
+    granularity, with the costs A*M1.  `_two_phase` weights the first
+    row's artificial by L, so it takes the pivots that `simplex_solve` takes
+    on the same program with both rows scaled by L, to the same vertex,
+    with every tableau number L times smaller.  `Fraction`s are built only
     for the nonzero basic weights.
     """
     threat_result = threat(game)
@@ -615,11 +659,11 @@ def stackelberg_lp(game: BimatrixGame) -> StackelbergSolution:
     follower = [factor * v for row in game.scaled_m2 for v in row]
     n = len(follower)
     rows = [
-        [scale] * n + [0, scale],
+        [1] * n + [0, 1],
         follower + [-scale, *as_integers((value,), scale)],
     ]
     costs = [v for row in game.scaled_m1 for v in row] + [0]
-    status, tableau, basis, denominator, _ = _two_phase(rows, costs)
+    status, tableau, basis, denominator, _ = _two_phase(rows, costs, (scale, 1))
     assert status is LPStatus.OPTIMAL
     alpha = dict.fromkeys(game.pairs(), ZERO)
     for var, row in zip(basis, tableau[1:]):

@@ -180,6 +180,41 @@ def test_mixed_strategy_validation() -> None:
     assert MixedStrategy.pure(2, 3).support() == (2,)
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [(0.5, 0.5), (1.0,), (Fraction(1, 2), 0.5), (True,), (True, False), ("1/2", "1/2"), (None,)],
+)
+def test_mixed_strategy_rejects_non_rational_weights(weights) -> None:
+    """A weight must be an `int` or a `Fraction`, bools refused as
+    `parse_rational` refuses them; anything else raises `InputError` when
+    the strategy is built, not at its first draw."""
+    with pytest.raises(InputError):
+        MixedStrategy(weights)
+
+
+def test_mixed_strategy_accepts_exactly_the_distributions() -> None:
+    """The integer check accepts a weight tuple exactly when every weight is
+    nonnegative and the `Fraction` sum is 1; ints count as weights."""
+    rng = random.Random(1400)
+    accepted = rejected = 0
+    for _ in range(500):
+        total = rng.choice([1, 2, 6, 12, 60, 3**41])
+        numerators = [rng.randint(0, total) for _ in range(rng.randint(1, 5))]
+        numerators[-1] = total - sum(numerators[:-1]) + rng.choice([0, 0, -1, 1])
+        weights = tuple(Fraction(n, total) for n in numerators)
+        if rng.random() < 0.2:
+            weights = tuple(int(w) if w.denominator == 1 else w for w in weights)
+        if all(w >= 0 for w in weights) and sum(weights) == 1:
+            assert MixedStrategy(weights).weights == weights
+            accepted += 1
+        else:
+            with pytest.raises(InputError):
+                MixedStrategy(weights)
+            rejected += 1
+    assert MixedStrategy((0, 1)).sample(0) == 2
+    assert accepted >= 100 and rejected >= 100, (accepted, rejected)
+
+
 def test_pure_strategies_are_shared() -> None:
     assert MixedStrategy.pure(2, 3) is MixedStrategy.pure(2, 3)
     assert MixedStrategy.pure(2, 3) == MixedStrategy((Fraction(0), Fraction(1), Fraction(0)))

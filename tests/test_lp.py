@@ -891,6 +891,46 @@ def test_threat_falls_back_when_dantzig_gives_up(pd_game, monkeypatch) -> None:
     assert threat(pd_game) == expected
 
 
+def test_certified_threat_reads_the_optimal_face(monkeypatch) -> None:
+    """A zero reduced cost at Dantzig's optimum stops the certificate only
+    when the optimal face is more than one point.
+
+    M2 = [[0, -1, 1], [0, 1, -1]] holds the follower to max(0, |x1 - x2|):
+    x* = (1/2, 1/2) with V = 0 is the only optimum, but all three columns
+    are tight there, so a nonbasic column has reduced cost 0.  The face is
+    one point, and the fast path certifies Bland's vertex.  M2 =
+    [[-1, 0], [-1, 0], [0, -1]] repeats its first row, so (1/2, 0, 1/2) and
+    (0, 1/2, 1/2) are both optimal, and the fast path gives up."""
+    from conftest import fraction_simplex_solve, threat_program
+    from repstack import lp
+
+    faces = []
+    face_is_point = lp._face_is_point
+
+    def recording(*args):
+        faces.append(face_is_point(*args))
+        return faces[-1]
+
+    monkeypatch.setattr(lp, "_face_is_point", recording)
+    unique = validate_game([[0] * 3] * 2, [[0, -1, 1], [0, 1, -1]])
+    reference = fraction_simplex_solve(threat_program(unique))
+    assert reference.values[:3] == (F(1, 2), F(1, 2), 0)
+    certified = lp._certified_threat(unique.scaled_m2, unique.granularity)
+    assert certified == (list(reference.values[:2]), reference.values[2])
+    assert faces == [True]
+
+    faces.clear()
+    segment = validate_game([[0] * 2] * 3, [[-1, 0], [-1, 0], [0, -1]])
+    assert lp._certified_threat(segment.scaled_m2, segment.granularity) is None
+    assert faces == [False]
+    reference = fraction_simplex_solve(threat_program(segment))
+    result = threat(segment)
+    assert (result.strategy.weights, result.value) == (reference.values[:3], F(-1, 2))
+    for x in [(F(1, 2), 0, F(1, 2)), (0, F(1, 2), F(1, 2))]:
+        replies, denominator = reply_values(segment.scaled_m2, segment.granularity, MixedStrategy(x))
+        assert F(max(replies), denominator) == result.value
+
+
 def _commitment_solve(monkeypatch, game):
     """`stackelberg_lp(game)` with the pivots of its commitment solve:
     (solution, (phase 1, phase 2) pivots, drive-out pivots)."""
@@ -899,7 +939,7 @@ def _commitment_solve(monkeypatch, game):
     runs = []
     two_phase, optimize = lp._two_phase, lp._optimize
 
-    def recording(rows, costs):
+    def recording(rows, costs, weights=None):
         optimized = []
 
         def counted(*args, **kwargs):
@@ -909,7 +949,7 @@ def _commitment_solve(monkeypatch, game):
 
         with monkeypatch.context() as patch:
             patch.setattr(lp, "_optimize", counted)
-            result = two_phase(rows, costs)
+            result = two_phase(rows, costs, weights)
         pivots = result[4]
         runs.append((pivots, pivots[0] - optimized[0]))  # phase 1's own pivots first
         return result
@@ -951,6 +991,95 @@ def test_stackelberg_lp_matches_commitment_program(monkeypatch) -> None:
             seen["two pairs"] += support == 2
             seen["V's denominator not in A"] += granularity % value.denominator != 0
     # 54, 26, 60, 60 and 67 of the 120 games when this test was written.
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def _basic_values(result) -> dict[int, Fraction]:
+    """A `_two_phase` result's basic variables and their values."""
+    _, tableau, basis, denominator, _ = result
+    return {var: F(row[-1], denominator) for var, row in zip(basis, tableau[1:])}
+
+
+def _two_row_program(rng: random.Random, draw: int) -> tuple[list[list[int]], list[int]]:
+    """Two integer rows over 2 to 5 columns and their costs: an independent
+    second row, a multiple of the first (so one row is redundant) or a
+    second row with a zero right-hand side, in turn.  The first row has a
+    positive and a negative entry, so it is feasible on its own."""
+    n = rng.randint(2, 5)
+    first = [rng.randint(1, 3), rng.randint(-3, -1)] + [rng.randint(-3, 3) for _ in range(n - 1)]
+    if draw % 3 == 0:
+        second = [rng.randint(-6, 6) for _ in range(n + 1)]
+    elif draw % 3 == 1:
+        factor = rng.choice([-2, 1, 3])
+        second = [factor * v for v in first]
+    else:
+        second = [rng.randint(-6, 6) for _ in range(n)] + [0]
+    return [first, second], [rng.randint(-3, 3) for _ in range(n)]
+
+
+def test_weighted_phase_one_matches_scaled_rows(monkeypatch) -> None:
+    """`_two_phase(rows, costs, (L, 1))` takes the pivots of `_two_phase` on
+    the same rows with the first one scaled by L: the same status, basis and
+    pivot counts, and equal basic values as `Fraction`s.  It holds on the
+    commitment LPs of the 120 games of
+    `test_stackelberg_lp_matches_commitment_program`, whose final
+    denominators are L times smaller, and on random two-row programs where a
+    negated row, a drive-out pivot and a dropped row all run."""
+    from repstack import lp
+
+    calls = []
+    two_phase = lp._two_phase
+
+    def recording(rows, costs, weights=None):
+        if weights is not None:
+            calls.append(([list(row) for row in rows], list(costs), weights))
+        return two_phase(rows, costs, weights)
+
+    rng = random.Random(9000)
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_two_phase", recording)
+        for granularity in (1, 2, 6, 60):
+            for draw in range(30):
+                rows, cols = _differential_shape(rng, draw)
+                stackelberg_lp(_granular_game(rng, rows, cols, granularity, zero_sum=draw % 5 == 4))
+    # The weight is L, the coefficient -L of the threat row's slack.
+    assert len(calls) == 120
+    assert all(weights == (-rows[1][-2], 1) for rows, _, weights in calls)
+    calls = [(rows, costs, weights[0]) for rows, costs, weights in calls]
+    games = len(calls)
+    rng = random.Random(9200)
+    for draw in range(300):
+        rows, costs = _two_row_program(rng, draw)
+        calls.append((rows, costs, rng.choice([2, 6, 60, 10**12])))
+
+    seen = dict.fromkeys(["negated row", "drive-out pivot", "dropped row", "infeasible"], 0)
+    optimized, optimize = [], lp._optimize
+
+    def counted(*args, **kwargs):
+        result = optimize(*args, **kwargs)
+        optimized.append(result[2])
+        return result
+
+    monkeypatch.setattr(lp, "_optimize", counted)
+    for index, (rows, costs, scale) in enumerate(calls):
+        optimized.clear()
+        weighted = lp._two_phase(rows, costs, (scale, 1))
+        drive_out = weighted[4][0] - optimized[0]
+        scaled = lp._two_phase([[scale * v for v in rows[0]], rows[1]], costs)
+        status, _, basis, denominator, pivots = weighted
+        assert (status, basis, pivots) == (scaled[0], scaled[2], scaled[4]), (rows, costs, scale)
+        if status is LPStatus.INFEASIBLE:
+            # Phase 1's artificial 1 is measured in units of 1/L.
+            seen["infeasible"] += 1
+            continue
+        assert _basic_values(weighted) == _basic_values(scaled), (rows, costs, scale)
+        if index < games:
+            assert scaled[3] == scale * denominator, (rows, costs, scale)
+        seen["negated row"] += any(row[-1] < 0 for row in rows)
+        seen["drive-out pivot"] += drive_out > 0
+        seen["dropped row"] += len(basis) < len(rows)
+    # 185 negated rows, 38 drive-out pivots, 101 dropped rows and 59
+    # infeasible programs when this test was written.
     assert all(count >= 20 for count in seen.values()), seen
 
 
