@@ -51,7 +51,7 @@ from .core import (
     parse_rational,
     stable_json,
 )
-from .lp import StackelbergSolution, reply_values, stackelberg_lp
+from .lp import reply_values, stackelberg_lp
 from .lp import threat  # noqa: F401 -- kept bound: perfbench/tracer.py wraps gpa.threat
 
 _STREAM_SAMPLES = 3
@@ -211,7 +211,7 @@ class CycleParameters:
 
 
 def build_deterministic_gpa(
-    game: BimatrixGame, horizon: int, solution: StackelbergSolution | None = None
+    game: BimatrixGame, horizon: int
 ) -> tuple[PrescribedSequenceGPA, CycleParameters]:
     """Lay the LP distribution out exactly, worst pairs for the follower first.
 
@@ -219,8 +219,7 @@ def build_deterministic_gpa(
     follower payoff; the final r rounds prescribe the follower's best pair so
     no late deviation is ever profitable.  Requires T >= N + 1.
     """
-    if solution is None:
-        solution = stackelberg_lp(game)
+    solution = stackelberg_lp(game)
     cycle_length = math.lcm(*(w.denominator for w in solution.alpha.values()))
     if horizon <= cycle_length:
         raise HorizonTooShort(horizon, cycle_length + 1, cycle_length)
@@ -264,22 +263,14 @@ def sample_prescription(
     The LP weights are a vertex of a two-row LP, so at most two pairs have
     positive weight: with one, every draw picks it and nothing is hashed;
     with two, `count_below` counts the draws below the first one's threshold
-    in a single pass, and the second takes the rest.
+    in a single pass, and the second takes the rest.  When V is the
+    follower's maximum, the one pair is the reward pair and nothing is swapped.
     """
     if horizon < 2:
         raise HorizonTooShort(horizon, 2)
     solution = stackelberg_lp(game)
     threat_result = solution.threat
-    reward_pair, follower_max = game.max_follower_pair
-
-    if follower_max == threat_result.value:
-        # The follower will settle for nothing less than their maximum, so
-        # prescribe the leader-best pair achieving it every round.
-        script = tuple([reward_pair] * horizon)
-        gpa = PrescribedSequenceGPA(game, script, threat_result.strategy)
-        block = tuple([reward_pair] * (horizon - 1))
-        return SampledConstruction(gpa, block, block, 0)
-
+    reward_pair, _ = game.max_follower_pair
     all_pairs = list(game.pairs())
     weights = [solution.alpha[p] for p in all_pairs]
     support = [i for i, weight in enumerate(weights) if weight]
@@ -303,8 +294,8 @@ def sample_prescription(
     # Swap drawn pairs for the reward pair in `pair_ordering`, worst for the
     # follower first, until the follower total reaches V * (T - 1).  Each
     # pair swapped before the deficit closes gains the follower a positive
-    # amount: once every pair below follower_max is swapped, the total is
-    # follower_max * (T - 1) >= V * (T - 1).  The leader tie-break never
+    # amount: once every pair below the follower's maximum M is swapped, the
+    # total is M * (T - 1) >= V * (T - 1).  The leader tie-break never
     # applies: alpha is a vertex of a two-row LP, so at most two pairs are
     # drawn, and while a deficit remains their follower payoffs differ.
     # The deficit and the gains are integers in units of 1 / (A * d), with A

@@ -153,7 +153,7 @@ def test_criterion_4_deterministic_rate() -> None:
             opt = solution.value
             for horizon in range(2, 61):
                 try:
-                    gpa, params = build_deterministic_gpa(game, horizon, solution)
+                    gpa, params = build_deterministic_gpa(game, horizon)
                 except HorizonTooShort:
                     continue
                 leader_avg, _ = average_payoffs(gpa.obedient_transcript())

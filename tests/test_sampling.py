@@ -167,6 +167,29 @@ def test_sample_prescription_matches_fraction_reference(block: int) -> None:
         _assert_same_construction(game, horizon, rng.randrange(1 << 20))
 
 
+def test_threat_at_follower_max_draws_nothing(monkeypatch) -> None:
+    """When the threat value is the follower's maximum, every draw is the
+    reward pair and nothing is repaired: the construction matches the
+    reference's shortcut on 500 tie-heavy games without counting a draw."""
+
+    def no_count_below(self, cut, stop):
+        raise AssertionError("count_below called with one support pair")
+
+    monkeypatch.setattr(_rng.CounterRng, "count_below", no_count_below)
+    rng = random.Random(2700)
+    checked = 0
+    while checked < 500:
+        rows, cols, step = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
+        m1, m2 = (
+            [[Fraction(rng.randint(-step, step), step) for _ in range(cols)] for _ in range(rows)]
+            for _ in range(2)
+        )
+        game = validate_game(m1, m2)
+        if game.max_follower_pair[1] == stackelberg_lp(game).threat.value:
+            _assert_same_construction(game, rng.randint(2, 40), rng.randrange(1 << 20))
+            checked += 1
+
+
 @pytest.mark.parametrize("stream", [0, _STREAM_LEADER, _STREAM_FOLLOWER, _STREAM_SAMPLES])
 def test_u64_is_the_hash_of_seed_stream_counter(stream: int) -> None:
     """Draw k of stream s under seed z is the first 8 bytes of
@@ -280,7 +303,7 @@ def _random_scripts(rng: random.Random, game):
         scripts.append(list(sample_prescription(game, horizon, rng.randrange(1000)).gpa.prescription))
     solution = stackelberg_lp(game)
     try:
-        built, _ = build_deterministic_gpa(game, max(horizon, 2), solution)
+        built, _ = build_deterministic_gpa(game, max(horizon, 2))
         scripts.append(list(built.prescription))
     except HorizonTooShort:
         pass
